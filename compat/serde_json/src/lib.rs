@@ -46,6 +46,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -142,9 +143,16 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts, as upstream: the
+/// parser recurses once per level, so unbounded nesting in untrusted input
+/// would overflow the stack.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -190,14 +198,28 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(Error(format!(
                 "unexpected {other:?} at offset {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object level, bounded by [`RECURSION_LIMIT`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -381,6 +403,30 @@ mod tests {
         let nested: Vec<Vec<u64>> = vec![vec![1], vec![], vec![2, 3]];
         let s = to_string(&nested).unwrap();
         assert_eq!(from_str::<Vec<Vec<u64>>>(&s).unwrap(), nested);
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_the_recursion_limit() {
+        let nest = |depth: usize, open: &str, close: &str, inner: &str| {
+            format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+        };
+        // 128 levels parse, arrays and objects alike; one more is an error.
+        assert!(from_str::<Value>(&nest(128, "[", "]", "1")).is_ok());
+        assert!(from_str::<Value>(&nest(128, "{\"a\":", "}", "1")).is_ok());
+        for deep in [
+            nest(129, "[", "]", ""),
+            nest(129, "{\"a\":", "}", "1"),
+            nest(200_000, "[", "]", ""),
+        ] {
+            let err = from_str::<Value>(&deep).unwrap_err();
+            assert!(
+                err.to_string().contains("recursion limit exceeded"),
+                "{err}"
+            );
+        }
+        // The depth is the current nesting, not the number of containers.
+        let wide = format!("[{}]", vec![nest(127, "[", "]", ""); 3].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! `--quick` reduces repetitions for CI smoke runs (still covering every
 //! size, including P = 65536 and class E); the JSON is written either way.
 
+use pt_bench::juropa_p;
 use pt_cost::CostModel;
-use pt_machine::platforms;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -70,14 +70,6 @@ struct Report {
     baseline_commit: &'static str,
     quick: bool,
     results: Vec<Entry>,
-}
-
-/// JUROPA widened to exactly `p` cores (beyond 17664 this is a
-/// hypothetical scale-out of the same node architecture).
-fn juropa_p(p: usize) -> pt_machine::ClusterSpec {
-    let cpn = 8;
-    assert!(p.is_multiple_of(cpn));
-    platforms::juropa().with_nodes(p / cpn)
 }
 
 /// `(median, min)` per-schedule construction time in milliseconds over

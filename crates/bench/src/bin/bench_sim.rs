@@ -34,9 +34,9 @@
 //! full runs (so a quick CI run cannot overwrite the gate numbers with
 //! noisy single-rep timings).
 
+use pt_bench::juropa_p;
 use pt_core::{LayerScheduler, MappingStrategy};
 use pt_cost::CostModel;
-use pt_machine::platforms;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -89,14 +89,6 @@ struct Case {
     reps: usize,
     flat_baseline: &'static [f64; 4],
     layered_baseline: &'static [f64; 4],
-}
-
-/// JUROPA widened to exactly `p` cores (beyond 17664 this is a
-/// hypothetical scale-out of the same node architecture).
-fn juropa_p(p: usize) -> pt_machine::ClusterSpec {
-    let cpn = 8;
-    assert!(p.is_multiple_of(cpn));
-    platforms::juropa().with_nodes(p / cpn)
 }
 
 /// `(median, min)` time in milliseconds over `reps` runs.

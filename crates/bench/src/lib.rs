@@ -131,6 +131,14 @@ pub mod pipeline {
     }
 }
 
+/// JUROPA widened to exactly `p` cores (beyond 17664 this is a
+/// hypothetical scale-out of the same node architecture).
+pub fn juropa_p(p: usize) -> pt_machine::ClusterSpec {
+    let cpn = 8;
+    assert!(p.is_multiple_of(cpn));
+    pt_machine::platforms::juropa().with_nodes(p / cpn)
+}
+
 /// The value following `name` on the command line (`--trace PATH` style),
 /// if present.
 pub fn arg_value(name: &str) -> Option<String> {

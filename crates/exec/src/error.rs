@@ -54,6 +54,21 @@ pub enum ExecError {
     },
 }
 
+impl ExecError {
+    /// Layer the run failed in; `None` for
+    /// [`InvalidProgram`](Self::InvalidProgram), which fails before any
+    /// layer runs.
+    pub fn layer(&self) -> Option<usize> {
+        match self {
+            ExecError::TaskPanicked { layer, .. }
+            | ExecError::CollectiveAborted { layer, .. }
+            | ExecError::WorkerLost { layer, .. }
+            | ExecError::WatchdogTimeout { layer, .. } => Some(*layer),
+            ExecError::InvalidProgram(_) => None,
+        }
+    }
+}
+
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

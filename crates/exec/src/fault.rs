@@ -67,6 +67,18 @@ impl FaultKind {
             FaultKind::Delay(_) | FaultKind::Stall | FaultKind::SlowFactor(_)
         )
     }
+
+    /// Name of the trace instant recorded when this fault fires.
+    pub(crate) fn trace_name(&self) -> &'static str {
+        match self {
+            FaultKind::Panic => "fault:panic",
+            FaultKind::Delay(_) => "fault:delay",
+            FaultKind::Lose => "fault:lose",
+            FaultKind::Stall => "fault:stall",
+            FaultKind::SlowFactor(_) => "fault:slow",
+            FaultKind::Flaky { .. } => "fault:flaky",
+        }
+    }
 }
 
 /// One scripted fault.

@@ -41,7 +41,6 @@
 pub mod barrier;
 pub mod comm;
 pub mod deadline;
-pub mod dynamic;
 pub mod error;
 pub mod fault;
 pub mod heartbeat;

@@ -310,30 +310,6 @@ struct RunRequest {
     shared: Arc<RunShared>,
 }
 
-/// First failure of a run attempt (first writer wins).
-enum Failure {
-    Panic {
-        layer: usize,
-        group: usize,
-        payload: String,
-    },
-    /// A collective aborted without an attributable task panic (e.g. a
-    /// communicator poisoned from outside the runtime).
-    Abort {
-        layer: usize,
-        group: usize,
-    },
-    Lost {
-        layer: usize,
-        worker: usize,
-    },
-    /// The global watchdog fired on a wedged attempt.
-    Watchdog {
-        layer: usize,
-        stalled: Vec<usize>,
-    },
-}
-
 /// Outcome flags of one hedge, shared between its threads, the monitor and
 /// the committing worker.
 struct HedgeOutcome {
@@ -439,7 +415,8 @@ struct RunShared {
     seq: u64,
     faults: FaultPlan,
     recorder: Option<Arc<TraceRecorder>>,
-    failure: Mutex<Option<Failure>>,
+    /// First failure of the attempt (first writer wins).
+    failure: Mutex<Option<ExecError>>,
     /// Snapshot taken at the start of the most recent layer.
     snapshot: Mutex<Option<Snapshot>>,
     /// Fail-slow machinery (present iff the run carries a deadline policy).
@@ -449,6 +426,17 @@ struct RunShared {
     /// `(boundary layer, new width)` decided by rank 0 at a layer entry;
     /// the attempt stops there and the driver re-plans and resumes.
     resize_decision: Mutex<Option<(usize, usize)>>,
+}
+
+impl RunShared {
+    /// Attempt number of `layer` in this attempt.
+    fn attempt_of(&self, layer: usize) -> u32 {
+        if layer == self.start_layer {
+            self.attempt
+        } else {
+            1
+        }
+    }
 }
 
 struct WorkerReport {
@@ -463,7 +451,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn record_failure(shared: &RunShared, failure: Failure) {
+fn record_failure(shared: &RunShared, failure: ExecError) {
     let mut slot = lock(&shared.failure);
     if slot.is_none() {
         *slot = Some(failure);
@@ -580,19 +568,22 @@ impl Team {
     ) -> Result<Duration, ExecError> {
         program.validate().map_err(ExecError::InvalidProgram)?;
         let snapshots = opts.retry.max_attempts > 1 || opts.deadline.is_some();
-        let mut program = Arc::new(program.clone());
         // Resizes re-plan from the caller's original program, so repeated
         // shrink/regrow cycles never compound replanning rounding.
-        let base_program = program.clone();
-        let mut start_layer = 0usize;
-        let mut attempt = 1u32;
+        let base_program = Arc::new(program.clone());
         let start = Instant::now();
         // The driver records on its own lane, past the worker lanes.
-        let rec = opts.recorder.as_deref();
-        let driver = self.size as u32;
-        let bytes_before = rec.map(|_| store.bytes_written()).unwrap_or(0);
+        let lane = TraceLane {
+            rec: opts.recorder.as_deref(),
+            tid: self.size as u32,
+        };
+        // Where the next attempt starts: the (possibly re-planned) program,
+        // its first layer, and that layer's attempt number.
+        let mut program = base_program.clone();
+        let (mut start_layer, mut attempt) = (0, 1u32);
+        let bytes_before = lane.rec.map(|_| store.bytes_written()).unwrap_or(0);
         loop {
-            let attempt_t0 = rec.map_or(0.0, Recorder::now_us);
+            let attempt_t0 = lane.now();
             let roster = lock(&self.alive).clone();
             if program.required_workers() > roster.len() {
                 return Err(ExecError::InvalidProgram(format!(
@@ -635,6 +626,7 @@ impl Team {
                 self.monitors.fetch_add(1, Ordering::Relaxed);
                 let req = req.clone();
                 let done = self.done_tx.clone();
+                let driver = lane.tid;
                 std::thread::Builder::new()
                     .name("pt-monitor".into())
                     .spawn(move || monitor_loop(req, done, driver))
@@ -652,7 +644,7 @@ impl Team {
                 if report.lost {
                     any_lost = true;
                     lock(&self.alive).retain(|&w| w != report.worker);
-                    if let Some(r) = rec {
+                    if let Some(r) = lane.rec {
                         r.add(keys::WORKERS_LOST, 1);
                     }
                 }
@@ -664,11 +656,11 @@ impl Team {
                 let _ = h.join();
             }
             // Hedge threads must be gone before communicators are reset.
-            finalize_hedges(&shared, rec, driver);
-            if let Some(r) = rec {
+            finalize_hedges(&req, lane);
+            if let Some(r) = lane.rec {
                 r.span_args(
                     EXEC_PID,
-                    driver,
+                    lane.tid,
                     "attempt",
                     "exec",
                     attempt_t0,
@@ -679,40 +671,23 @@ impl Team {
                     ],
                 );
             }
-            // All workers are out of the run: communicators can be reset so
-            // the caller's program (which shares them) stays reusable.
-            let failure = lock(&shared.failure).take();
-            if failure.is_some() {
-                for group in program.layers.iter().flatten() {
-                    group.comm.reset();
-                }
-            }
-            let Some(failure) = failure else {
+            let Some(err) = lock(&shared.failure).take() else {
                 debug_assert!(!any_lost, "worker loss must record a failure");
                 if let Some((layer, width)) = lock(&shared.resize_decision).take() {
                     // Malleable resize: the attempt stopped at the entry of
                     // `layer` with nothing of it run, so the store needs no
                     // rollback — re-plan the remaining layers onto the new
                     // width and resume at the boundary.
-                    program = Arc::new(replan(&base_program, width));
                     if let Some(h) = &opts.resize {
                         h.inner.applied.fetch_add(1, Ordering::Relaxed);
                     }
-                    if let Some(r) = rec {
-                        r.add(keys::RESIZES, 1);
-                        r.instant(
-                            EXEC_PID,
-                            driver,
-                            "resize",
-                            "exec",
-                            vec![("layer", layer.into()), ("width", width.into())],
-                        );
-                    }
-                    start_layer = layer;
-                    attempt = 1;
+                    program = Arc::new(replan(&base_program, width));
+                    (start_layer, attempt) = (layer, 1);
+                    let args = [("layer", layer), ("width", width)];
+                    lane.instant(&[keys::RESIZES], "resize", "exec", &args);
                     continue;
                 }
-                if let Some(r) = rec {
+                if let Some(r) = lane.rec {
                     r.add(
                         keys::REDIST_BYTES,
                         store.bytes_written().saturating_sub(bytes_before),
@@ -720,46 +695,16 @@ impl Team {
                 }
                 return Ok(start.elapsed());
             };
-            let (layer, err) = match &failure {
-                Failure::Panic {
-                    layer,
-                    group,
-                    payload,
-                } => (
-                    *layer,
-                    ExecError::TaskPanicked {
-                        layer: *layer,
-                        group: *group,
-                        payload: payload.clone(),
-                    },
-                ),
-                Failure::Abort { layer, group } => (
-                    *layer,
-                    ExecError::CollectiveAborted {
-                        layer: *layer,
-                        group: *group,
-                    },
-                ),
-                Failure::Lost { layer, worker } => (
-                    *layer,
-                    ExecError::WorkerLost {
-                        layer: *layer,
-                        worker: *worker,
-                    },
-                ),
-                Failure::Watchdog { layer, stalled } => (
-                    *layer,
-                    ExecError::WatchdogTimeout {
-                        layer: *layer,
-                        stalled: stalled.clone(),
-                    },
-                ),
-            };
-            let cur_attempt = if layer == start_layer { attempt } else { 1 };
-            if !snapshots || cur_attempt >= opts.retry.max_attempts {
-                return Err(err);
+            // All workers are out of the failed run: communicators can be
+            // reset so the caller's program (which shares them) stays
+            // reusable.
+            for group in program.layers.iter().flatten() {
+                group.comm.reset();
             }
-            let Some(snap) = lock(&shared.snapshot).take() else {
+            let layer = err.layer().expect("run-time failures name their layer");
+            let failed = shared.attempt_of(layer);
+            let snapshot = lock(&shared.snapshot).take();
+            let Some(snap) = snapshot.filter(|_| failed < opts.retry.max_attempts) else {
                 return Err(err);
             };
             if any_lost {
@@ -772,37 +717,72 @@ impl Team {
                 // indices and `required_workers` consistent; completed
                 // layers never re-run).
                 program = Arc::new(replan(&program, survivors));
-                if let Some(r) = rec {
-                    r.instant(
-                        EXEC_PID,
-                        driver,
-                        "replan",
-                        "exec",
-                        vec![("layer", layer.into()), ("survivors", survivors.into())],
-                    );
-                }
+                let args = [("layer", layer), ("survivors", survivors)];
+                lane.instant(&[], "replan", "exec", &args);
             }
             store.restore(&snap);
-            if let Some(r) = rec {
-                r.add(keys::ROLLBACKS, 1);
-                r.add(keys::RETRIES, 1);
-                r.instant(
-                    EXEC_PID,
-                    driver,
-                    "retry",
-                    "exec",
-                    vec![
-                        ("layer", layer.into()),
-                        ("next_attempt", (cur_attempt + 1).into()),
-                    ],
-                );
-            }
-            let backoff = opts.retry.backoff(cur_attempt);
+            (start_layer, attempt) = (layer, failed + 1);
+            let args = [("layer", layer), ("next_attempt", attempt as usize)];
+            lane.instant(&[keys::ROLLBACKS, keys::RETRIES], "retry", "exec", &args);
+            let backoff = opts.retry.backoff(failed);
             if backoff > Duration::ZERO {
                 std::thread::sleep(backoff);
             }
-            start_layer = layer;
-            attempt = cur_attempt + 1;
+        }
+    }
+}
+
+/// A trace lane: the run's recorder (if any) and the thread row its events
+/// go to.  Every helper reduces to one branch when nothing records.
+#[derive(Clone, Copy)]
+struct TraceLane<'a> {
+    rec: Option<&'a TraceRecorder>,
+    tid: u32,
+}
+
+impl TraceLane<'_> {
+    /// The recorder's clock (0 when nothing records).
+    fn now(&self) -> f64 {
+        self.rec.map_or(0.0, Recorder::now_us)
+    }
+
+    /// Bump each of `counters` and record the instant `name`; the argument
+    /// `Vec` is only built when a recorder is attached.
+    fn instant(
+        &self,
+        counters: &[&'static str],
+        name: &str,
+        cat: &'static str,
+        args: &[(&'static str, usize)],
+    ) {
+        if let Some(r) = self.rec {
+            for &c in counters {
+                r.add(c, 1);
+            }
+            let args = args.iter().map(|&(k, v)| (k, v.into())).collect();
+            r.instant(EXEC_PID, self.tid, name, cat, args);
+        }
+    }
+
+    /// Record one fired fault: the single `FAULTS_INJECTED` bump and
+    /// `fault:*` instant of every [`FaultKind`].
+    fn fault(&self, kind: &FaultKind, layer: usize, attempt: u32) {
+        let Some(r) = self.rec else { return };
+        let mut args = vec![("layer", layer.into()), ("attempt", attempt.into())];
+        if let FaultKind::Delay(d) = kind {
+            r.add(keys::FAULT_DELAY_US, d.as_micros() as u64);
+            args.push(("delay_us", (d.as_micros() as usize).into()));
+        }
+        r.add(keys::FAULTS_INJECTED, 1);
+        r.instant(EXEC_PID, self.tid, kind.trace_name(), "fault", args);
+    }
+
+    /// Record one barrier wait as a span plus a histogram observation.
+    fn barrier(&self, layer: usize, name: &'static str, start_us: f64) {
+        if let Some(r) = self.rec {
+            r.observe(keys::BARRIER_WAIT, (r.now_us() - start_us) / 1e6);
+            let args = vec![("layer", layer.into())];
+            r.span_args(EXEC_PID, self.tid, name, "barrier", start_us, args);
         }
     }
 }
@@ -810,33 +790,56 @@ impl Team {
 /// Cancel, join and account every hedge still alive at the end of an
 /// attempt (normally only on failure paths — successful attempts commit or
 /// discard their hedges at each layer boundary).
-fn finalize_hedges(shared: &RunShared, rec: Option<&TraceRecorder>, driver: u32) {
-    let Some(fs) = &shared.fail_slow else { return };
+fn finalize_hedges(req: &RunRequest, lane: TraceLane) {
+    let Some(fs) = &req.shared.fail_slow else {
+        return;
+    };
     let hedges = {
         let mut st = lock(&fs.hedge_state);
         st.finished = true;
         std::mem::take(&mut st.hedges)
     };
-    for mut h in hedges {
-        if !h.outcome.done.load(Ordering::Acquire) {
-            h.cancel.store(true, Ordering::Relaxed);
-            // Unblock hedge threads waiting in a collective.
-            h.comm.poison();
-        }
-        for handle in h.handles.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(r) = rec {
-            r.add(keys::HEDGES_LOST, 1);
-            r.instant(
-                EXEC_PID,
-                driver,
-                "hedge:lose",
-                "exec",
-                vec![("layer", h.layer.into()), ("group", h.group.into())],
-            );
+    for h in hedges {
+        settle(h, req, lane, false);
+    }
+}
+
+/// Settle one hedge: cancel it if it is still running, join its threads,
+/// then commit it if it won and `commit` allows (a successful layer
+/// boundary), else account it lost.
+fn settle(h: Hedge, req: &RunRequest, lane: TraceLane, commit: bool) {
+    if !h.outcome.done.load(Ordering::Acquire) {
+        h.cancel.store(true, Ordering::Relaxed);
+        // Unblock hedge threads waiting in a collective.
+        h.comm.poison();
+    }
+    for handle in h.handles {
+        let _ = handle.join();
+    }
+    let args = [("layer", h.layer), ("group", h.group)];
+    if !(commit && h.outcome.won.load(Ordering::Acquire)) {
+        lane.instant(&[keys::HEDGES_LOST], "hedge:lose", "exec", &args);
+        return;
+    }
+    // Commit: overlay entries that differ from the layer-entry snapshot are
+    // the slice's outputs.  Identical names written by the cancelled primary
+    // are overwritten with bit-identical data (tasks are deterministic), so
+    // first-finisher-wins is value-transparent.
+    let after = h.overlay.snapshot();
+    for (name, data) in after.entries() {
+        if h.base.get(name) != Some(data.as_slice()) {
+            req.store.put(name.clone(), data.clone());
         }
     }
+    for (name, _) in h.base.entries() {
+        if after.get(name).is_none() {
+            req.store.remove(name);
+        }
+    }
+    // The win poisoned the primary communicator to cancel the straggler;
+    // everyone is past the exit barrier now, so it can be made reusable.
+    req.program.layers[h.layer][h.group].comm.reset();
+    lane.instant(&[keys::HEDGES_WON], "hedge:win", "exec", &args);
 }
 
 /// Re-plan a program onto `n` workers: each layer's groups shrink
@@ -856,12 +859,11 @@ pub fn replan(program: &Program, n: usize) -> Program {
             continue;
         }
         if layer.len() <= n {
-            let weights: Vec<f64> = layer.iter().map(|g| g.workers.len() as f64).collect();
-            let sizes = crate::dynamic::proportional_sizes(&weights, n);
+            let widths: Vec<usize> = layer.iter().map(|g| g.workers.len()).collect();
             let mut lo = 0usize;
             *layer = layer
                 .iter()
-                .zip(sizes)
+                .zip(proportional_sizes(&widths, n))
                 .map(|(g, s)| {
                     let plan = GroupPlan::new(lo..lo + s, g.tasks.clone());
                     lo += s;
@@ -875,6 +877,33 @@ pub fn replan(program: &Program, n: usize) -> Program {
         }
     }
     p
+}
+
+/// Sizes proportional to `widths`, summing to `total >= widths.len()`,
+/// with at least one worker per group: one each, then the spare workers by
+/// largest remainder (equal shares if every width is zero).
+fn proportional_sizes(widths: &[usize], total: usize) -> Vec<usize> {
+    let parts = widths.len();
+    let wsum = widths.iter().sum::<usize>() as f64;
+    let spare = total - parts;
+    let mut sizes = vec![1usize; parts];
+    let mut order: Vec<usize> = (0..parts).collect();
+    if wsum > 0.0 {
+        let ideal: Vec<f64> = widths
+            .iter()
+            .map(|&w| w as f64 / wsum * spare as f64)
+            .collect();
+        for (s, id) in sizes.iter_mut().zip(&ideal) {
+            *s += id.floor() as usize;
+        }
+        let frac = |p: usize| ideal[p] - ideal[p].floor();
+        order.sort_by(|&a, &b| frac(b).total_cmp(&frac(a)));
+    }
+    let assigned: usize = sizes.iter().sum();
+    for &p in order.iter().cycle().take(total - assigned) {
+        sizes[p] += 1;
+    }
+    sizes
 }
 
 impl Drop for Team {
@@ -937,52 +966,21 @@ fn run_layers(idx: usize, req: &RunRequest) -> bool {
 
 fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
     let sh = &req.shared;
-    let rec = sh.recorder.as_deref();
+    let lane = TraceLane {
+        rec: sh.recorder.as_deref(),
+        tid: idx as u32,
+    };
     let fs = sh.fail_slow.as_deref();
-    let tid = idx as u32;
     for (layer_idx, layer) in req.program.layers.iter().enumerate().skip(sh.start_layer) {
-        let attempt = if layer_idx == sh.start_layer {
-            sh.attempt
-        } else {
-            1
-        };
-        // Logical rank 0 decides a pending malleable resize before the
-        // entry barrier; the barrier publishes the verdict, so every rank
-        // observes the same decision and leaves the attempt at the same
-        // boundary.  One `Option` branch when no channel is attached.
-        let mut resized = false;
+        let attempt = sh.attempt_of(layer_idx);
         if me == 0 {
-            if let Some(h) = &sh.resize {
-                if let Some(w) = h.take(layer_idx, sh.roster.len(), req.program.required_workers())
-                {
-                    *lock(&sh.resize_decision) = Some((layer_idx, w));
-                    resized = true;
-                }
-            }
+            enter_layer(req, layer_idx, lane);
         }
-        // Logical rank 0 snapshots the store before anyone starts the
-        // layer; the entry barrier publishes the snapshot and guarantees no
-        // task of this layer has run yet.
-        if sh.snapshots && me == 0 && !resized {
-            let t0 = rec.map_or(0.0, Recorder::now_us);
-            *lock(&sh.snapshot) = Some(req.store.snapshot());
-            if let Some(r) = rec {
-                r.add(keys::SNAPSHOTS, 1);
-                r.span_args(
-                    EXEC_PID,
-                    tid,
-                    "snapshot",
-                    "store",
-                    t0,
-                    vec![("layer", layer_idx.into())],
-                );
-            }
-        }
-        let bar_t0 = rec.map_or(0.0, Recorder::now_us);
+        let bar_t0 = lane.now();
         if sh.barrier.wait().is_err() {
             return false;
         }
-        record_barrier(rec, tid, layer_idx, "barrier:enter", bar_t0);
+        lane.barrier(layer_idx, "barrier:enter", bar_t0);
         if sh.resize.is_some() && lock(&sh.resize_decision).is_some() {
             // A resize was decided at this boundary: every rank leaves the
             // attempt here (nothing of this layer has run) and the driver
@@ -996,103 +994,31 @@ fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
         let mut slow = 1.0f64;
         let mut stall = false;
         for kind in sh.faults.firing(layer_idx, me, attempt) {
+            if let FaultKind::Flaky { p } = kind {
+                if !sh.faults.flaky_fires(*p, layer_idx, me, attempt) {
+                    continue;
+                }
+            }
+            lane.fault(kind, layer_idx, attempt);
             match kind {
                 FaultKind::Delay(d) => {
-                    if let Some(r) = rec {
-                        r.add(keys::FAULTS_INJECTED, 1);
-                        r.add(keys::FAULT_DELAY_US, d.as_micros() as u64);
-                        r.instant(
-                            EXEC_PID,
-                            tid,
-                            "fault:delay",
-                            "fault",
-                            vec![
-                                ("layer", layer_idx.into()),
-                                ("attempt", attempt.into()),
-                                ("delay_us", (d.as_micros() as usize).into()),
-                            ],
-                        );
-                    }
                     std::thread::sleep(*d);
                     if let Some(fs) = fs {
                         fs.board.stamp(me);
                     }
                 }
-                FaultKind::Panic => {
-                    if let Some(r) = rec {
-                        r.add(keys::FAULTS_INJECTED, 1);
-                        r.instant(
-                            EXEC_PID,
-                            tid,
-                            "fault:panic",
-                            "fault",
-                            vec![("layer", layer_idx.into()), ("attempt", attempt.into())],
-                        );
-                    }
-                    inject_panic = true;
-                }
-                FaultKind::Flaky { p } => {
-                    if sh.faults.flaky_fires(*p, layer_idx, me, attempt) {
-                        if let Some(r) = rec {
-                            r.add(keys::FAULTS_INJECTED, 1);
-                            r.instant(
-                                EXEC_PID,
-                                tid,
-                                "fault:flaky",
-                                "fault",
-                                vec![("layer", layer_idx.into()), ("attempt", attempt.into())],
-                            );
-                        }
-                        inject_panic = true;
-                    }
-                }
-                FaultKind::SlowFactor(f) => {
-                    if let Some(r) = rec {
-                        r.add(keys::FAULTS_INJECTED, 1);
-                        r.instant(
-                            EXEC_PID,
-                            tid,
-                            "fault:slow",
-                            "fault",
-                            vec![("layer", layer_idx.into()), ("attempt", attempt.into())],
-                        );
-                    }
-                    slow = slow.max(*f);
-                }
-                FaultKind::Stall => {
-                    if let Some(r) = rec {
-                        r.add(keys::FAULTS_INJECTED, 1);
-                        r.instant(
-                            EXEC_PID,
-                            tid,
-                            "fault:stall",
-                            "fault",
-                            vec![("layer", layer_idx.into()), ("attempt", attempt.into())],
-                        );
-                    }
-                    stall = true;
-                }
+                FaultKind::Panic | FaultKind::Flaky { .. } => inject_panic = true,
+                FaultKind::SlowFactor(f) => slow = slow.max(*f),
+                FaultKind::Stall => stall = true,
                 FaultKind::Lose => {
-                    if let Some(r) = rec {
-                        r.add(keys::FAULTS_INJECTED, 1);
-                        r.instant(
-                            EXEC_PID,
-                            tid,
-                            "fault:lose",
-                            "fault",
-                            vec![("layer", layer_idx.into()), ("attempt", attempt.into())],
-                        );
-                    }
                     // Record first, then poison, then shrink the barrier:
                     // peers that unwind or arrive afterwards must observe
                     // the failure.
-                    record_failure(
-                        sh,
-                        Failure::Lost {
-                            layer: layer_idx,
-                            worker: idx,
-                        },
-                    );
+                    let lost = ExecError::WorkerLost {
+                        layer: layer_idx,
+                        worker: idx,
+                    };
+                    record_failure(sh, lost);
                     if let Some(fs) = fs {
                         if !fs.board.try_finish(me, layer_idx) {
                             // The monitor demoted us first and has already
@@ -1147,19 +1073,19 @@ fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
                             return SliceEnd::Demoted;
                         }
                     }
-                    let t0 = rec.map_or(0.0, Recorder::now_us);
+                    let t0 = lane.now();
                     let slow_t0 = (slow > 1.0).then(Instant::now);
                     task(&ctx);
                     if let Some(fs) = fs {
                         fs.board.stamp(me);
                     }
-                    if let Some(r) = rec {
+                    if let Some(r) = lane.rec {
                         let dur_s = (r.now_us() - t0) / 1e6;
                         r.add(keys::TASKS_RUN, 1);
                         r.observe(keys::TASK_SECONDS, dur_s);
                         r.span_args(
                             EXEC_PID,
-                            tid,
+                            lane.tid,
                             &format!("L{layer_idx}.g{gi}.t{k}"),
                             "task",
                             t0,
@@ -1197,6 +1123,7 @@ fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
                 }
                 Ok(SliceEnd::Demoted) => return true,
                 Err(payload) => {
+                    let args = [("layer", layer_idx), ("group", gi)];
                     if payload.downcast_ref::<CollectiveAborted>().is_some() {
                         if fs.is_some_and(|fs| fs.hedge_has_won(layer_idx, gi)) {
                             // The winning hedge poisoned our communicator
@@ -1210,44 +1137,24 @@ fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
                             // records before poisoning, so this only sticks
                             // when the communicator was poisoned from
                             // outside the runtime.
-                            record_failure(
-                                sh,
-                                Failure::Abort {
-                                    layer: layer_idx,
-                                    group: gi,
-                                },
-                            );
-                            if let Some(r) = rec {
-                                r.add(keys::COLLECTIVE_ABORTS, 1);
-                                r.instant(
-                                    EXEC_PID,
-                                    tid,
-                                    "collective_abort",
-                                    "fault",
-                                    vec![("layer", layer_idx.into()), ("group", gi.into())],
-                                );
-                            }
-                        }
-                    } else {
-                        record_failure(
-                            sh,
-                            Failure::Panic {
+                            let aborted = ExecError::CollectiveAborted {
                                 layer: layer_idx,
                                 group: gi,
-                                payload: payload_text(payload.as_ref()),
-                            },
-                        );
+                            };
+                            record_failure(sh, aborted);
+                            let counters = [keys::COLLECTIVE_ABORTS];
+                            lane.instant(&counters, "collective_abort", "fault", &args);
+                        }
+                    } else {
+                        let panicked = ExecError::TaskPanicked {
+                            layer: layer_idx,
+                            group: gi,
+                            payload: payload_text(payload.as_ref()),
+                        };
+                        record_failure(sh, panicked);
                         // Unblock group peers waiting in a collective for us.
                         group.comm.poison();
-                        if let Some(r) = rec {
-                            r.instant(
-                                EXEC_PID,
-                                tid,
-                                "panic",
-                                "fault",
-                                vec![("layer", layer_idx.into()), ("group", gi.into())],
-                            );
-                        }
+                        lane.instant(&[], "panic", "fault", &args);
                     }
                 }
             }
@@ -1262,24 +1169,66 @@ fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
         // Layer barrier: re-distributions (DataStore writes) become visible
         // to every group before the next layer starts — and every worker
         // observes a failure of this layer at the same point.
-        let bar_t0 = rec.map_or(0.0, Recorder::now_us);
+        let bar_t0 = lane.now();
         if sh.barrier.wait().is_err() {
             return false;
         }
-        record_barrier(rec, tid, layer_idx, "barrier:exit", bar_t0);
+        lane.barrier(layer_idx, "barrier:exit", bar_t0);
         if lock(&sh.failure).is_some() {
             // Failed attempt: leftover hedges are finalized by the driver.
             return false;
         }
         if me == 0 {
-            if let Some(fs) = fs {
-                // Commit or discard this layer's hedges while every peer
-                // is parked at the next entry barrier (no store readers).
-                hedge_commit_phase(req, fs, layer_idx, rec, tid);
-            }
+            exit_layer(req, layer_idx, lane);
         }
     }
     false
+}
+
+/// Logical rank 0's step at the entry of `layer`, before the entry barrier
+/// publishes its outcome to every rank: decide a pending malleable resize
+/// (every rank then leaves the attempt at this boundary), else snapshot
+/// the store for rollback and hedging (no task of the layer has run yet).
+/// One `Option` branch each when no resize channel or snapshots are used.
+fn enter_layer(req: &RunRequest, layer: usize, lane: TraceLane) {
+    let sh = &req.shared;
+    if let Some(h) = &sh.resize {
+        if let Some(w) = h.take(layer, sh.roster.len(), req.program.required_workers()) {
+            *lock(&sh.resize_decision) = Some((layer, w));
+            return;
+        }
+    }
+    if sh.snapshots {
+        let t0 = lane.now();
+        *lock(&sh.snapshot) = Some(req.store.snapshot());
+        if let Some(r) = lane.rec {
+            r.add(keys::SNAPSHOTS, 1);
+            let args = vec![("layer", layer.into())];
+            r.span_args(EXEC_PID, lane.tid, "snapshot", "store", t0, args);
+        }
+    }
+}
+
+/// Logical rank 0's step at the exit of a *successful* `layer`, while every
+/// peer is parked at the next entry barrier (no store readers): close the
+/// layer to new hedges and settle its hedges — commit the winner's overlay
+/// diff, discard losers.
+fn exit_layer(req: &RunRequest, layer: usize, lane: TraceLane) {
+    let Some(fs) = &req.shared.fail_slow else {
+        return;
+    };
+    let mine: Vec<Hedge> = {
+        let mut st = lock(&fs.hedge_state);
+        st.closed.insert(layer);
+        let (mine, kept) = std::mem::take(&mut st.hedges)
+            .into_iter()
+            .partition(|h| h.layer == layer);
+        st.hedges = kept;
+        mine
+    };
+    for h in mine {
+        settle(h, req, lane, true);
+    }
 }
 
 /// Sleep `total` in small chunks, publishing heartbeats and honouring
@@ -1319,7 +1268,10 @@ fn monitor_loop(req: Arc<RunRequest>, done: Sender<WorkerReport>, driver: u32) {
         .fail_slow
         .clone()
         .expect("monitor runs only with a deadline policy");
-    let rec = sh.recorder.as_deref();
+    let lane = TraceLane {
+        rec: sh.recorder.as_deref(),
+        tid: driver,
+    };
     let start = Instant::now();
     let mut missed: HashSet<usize> = HashSet::new();
     let mut global_fired = false;
@@ -1330,7 +1282,7 @@ fn monitor_loop(req: Arc<RunRequest>, done: Sender<WorkerReport>, driver: u32) {
         }
         let now = fs.board.now_us();
         let states: Vec<LaneState> = (0..fs.board.ranks()).map(|r| fs.board.state(r)).collect();
-        if let Some(r) = rec {
+        if let Some(r) = lane.rec {
             if let Some(age) = states
                 .iter()
                 .enumerate()
@@ -1344,7 +1296,7 @@ fn monitor_loop(req: Arc<RunRequest>, done: Sender<WorkerReport>, driver: u32) {
         if let Some(bound) = fs.policy.global_timeout {
             if !global_fired && start.elapsed() > bound {
                 global_fired = true;
-                fire_watchdog(&req, &fs, &done, &states, rec, driver);
+                fire_watchdog(&req, &fs, &done, &states, lane);
             }
         }
         if fs.policy.layer_budgets.is_empty() {
@@ -1373,16 +1325,8 @@ fn monitor_loop(req: Arc<RunRequest>, done: Sender<WorkerReport>, driver: u32) {
             continue;
         }
         if missed.insert(frontier) {
-            if let Some(r) = rec {
-                r.add(keys::DEADLINE_MISSES, 1);
-                r.instant(
-                    EXEC_PID,
-                    driver,
-                    "deadline:miss",
-                    "exec",
-                    vec![("layer", frontier.into())],
-                );
-            }
+            let args = [("layer", frontier)];
+            lane.instant(&[keys::DEADLINE_MISSES], "deadline:miss", "exec", &args);
         }
         let dead_us = fs.policy.dead_after.as_micros() as u64;
         let mut dead: Option<(usize, usize, u64)> = None;
@@ -1404,8 +1348,8 @@ fn monitor_loop(req: Arc<RunRequest>, done: Sender<WorkerReport>, driver: u32) {
                 }
             } else {
                 match fs.policy.action {
-                    MissAction::Demote => monitor_demote(&req, &fs, &done, rank, l, rec, driver),
-                    MissAction::Hedge => maybe_hedge(&req, &fs, l, gi, rec, driver),
+                    MissAction::Demote => monitor_demote(&req, &fs, &done, rank, l, lane),
+                    MissAction::Hedge => maybe_hedge(&req, &fs, l, gi, lane),
                 }
             }
         }
@@ -1416,7 +1360,7 @@ fn monitor_loop(req: Arc<RunRequest>, done: Sender<WorkerReport>, driver: u32) {
         // group, its blocked peers unwind within the next tick, and the
         // loss accounting stays one-demotion-per-actual-corpse.
         if let Some((rank, l, _)) = dead {
-            monitor_demote(&req, &fs, &done, rank, l, rec, driver);
+            monitor_demote(&req, &fs, &done, rank, l, lane);
         }
     }
 }
@@ -1428,8 +1372,7 @@ fn fire_watchdog(
     fs: &Arc<FailSlowShared>,
     done: &Sender<WorkerReport>,
     states: &[LaneState],
-    rec: Option<&TraceRecorder>,
-    driver: u32,
+    lane: TraceLane,
 ) {
     let sh = &req.shared;
     let stuck: Vec<(usize, usize)> = states
@@ -1445,19 +1388,11 @@ fn fire_watchdog(
     }
     let layer = stuck.iter().map(|&(_, l)| l).min().expect("non-empty");
     let stalled: Vec<usize> = stuck.iter().map(|&(i, _)| sh.roster[i]).collect();
-    record_failure(sh, Failure::Watchdog { layer, stalled });
-    if let Some(r) = rec {
-        r.add(keys::WATCHDOG_FIRES, 1);
-        r.instant(
-            EXEC_PID,
-            driver,
-            "watchdog",
-            "fault",
-            vec![("layer", layer.into()), ("stalled", stuck.len().into())],
-        );
-    }
+    record_failure(sh, ExecError::WatchdogTimeout { layer, stalled });
+    let args = [("layer", layer), ("stalled", stuck.len())];
+    lane.instant(&[keys::WATCHDOG_FIRES], "watchdog", "fault", &args);
     for (rank, l) in stuck {
-        monitor_demote(req, fs, done, rank, l, rec, driver);
+        monitor_demote(req, fs, done, rank, l, lane);
     }
 }
 
@@ -1471,8 +1406,7 @@ fn monitor_demote(
     done: &Sender<WorkerReport>,
     rank: usize,
     layer: usize,
-    rec: Option<&TraceRecorder>,
-    driver: u32,
+    lane: TraceLane,
 ) {
     if !fs.board.demote(rank, layer) {
         return;
@@ -1481,7 +1415,7 @@ fn monitor_demote(
     let phys = sh.roster[rank];
     record_failure(
         sh,
-        Failure::Lost {
+        ExecError::WorkerLost {
             layer,
             worker: phys,
         },
@@ -1490,16 +1424,8 @@ fn monitor_demote(
         req.program.layers[layer][gi].comm.poison();
     }
     sh.barrier.leave();
-    if let Some(r) = rec {
-        r.add(keys::DEMOTIONS, 1);
-        r.instant(
-            EXEC_PID,
-            driver,
-            "demote",
-            "exec",
-            vec![("layer", layer.into()), ("rank", rank.into())],
-        );
-    }
+    let args = [("layer", layer), ("rank", rank)];
+    lane.instant(&[keys::DEMOTIONS], "demote", "exec", &args);
     let _ = done.send(WorkerReport {
         worker: phys,
         lost: true,
@@ -1528,8 +1454,7 @@ fn maybe_hedge(
     fs: &Arc<FailSlowShared>,
     layer: usize,
     gi: usize,
-    rec: Option<&TraceRecorder>,
-    driver: u32,
+    lane: TraceLane,
 ) {
     let mut st = lock(&fs.hedge_state);
     if st.finished
@@ -1588,16 +1513,8 @@ fn maybe_hedge(
         handles,
     });
     drop(st);
-    if let Some(r) = rec {
-        r.add(keys::HEDGES_SPAWNED, 1);
-        r.instant(
-            EXEC_PID,
-            driver,
-            "hedge:spawn",
-            "exec",
-            vec![("layer", layer.into()), ("group", gi.into())],
-        );
-    }
+    let args = [("layer", layer), ("group", gi)];
+    lane.instant(&[keys::HEDGES_SPAWNED], "hedge:spawn", "exec", &args);
 }
 
 /// One hedge thread: run the group's task slice against the overlay.  The
@@ -1639,106 +1556,6 @@ fn hedge_worker(job: HedgeJob) {
             group.comm.poison();
         }
         job.outcome.done.store(true, Ordering::Release);
-    }
-}
-
-/// Layer-boundary hedge settlement, run by logical rank 0 after the exit
-/// barrier of a *successful* layer: close the layer to new hedges, join
-/// its hedge threads, commit the winner's overlay diff (and reset the
-/// poisoned primary communicator), discard losers.
-fn hedge_commit_phase(
-    req: &RunRequest,
-    fs: &FailSlowShared,
-    layer: usize,
-    rec: Option<&TraceRecorder>,
-    tid: u32,
-) {
-    let mine: Vec<Hedge> = {
-        let mut st = lock(&fs.hedge_state);
-        st.closed.insert(layer);
-        let mut kept = Vec::new();
-        let mut mine = Vec::new();
-        for h in st.hedges.drain(..) {
-            if h.layer == layer {
-                mine.push(h);
-            } else {
-                kept.push(h);
-            }
-        }
-        st.hedges = kept;
-        mine
-    };
-    for mut h in mine {
-        if !h.outcome.done.load(Ordering::Acquire) {
-            h.cancel.store(true, Ordering::Relaxed);
-            h.comm.poison();
-        }
-        for handle in h.handles.drain(..) {
-            let _ = handle.join();
-        }
-        if h.outcome.won.load(Ordering::Acquire) {
-            // Commit: overlay entries that differ from the layer-entry
-            // snapshot are the slice's outputs.  Identical names written by
-            // the cancelled primary are overwritten with bit-identical data
-            // (tasks are deterministic), so first-finisher-wins is
-            // value-transparent.
-            let after = h.overlay.snapshot();
-            for (name, data) in after.entries() {
-                if h.base.get(name) != Some(data.as_slice()) {
-                    req.store.put(name.clone(), data.clone());
-                }
-            }
-            for (name, _) in h.base.entries() {
-                if after.get(name).is_none() {
-                    req.store.remove(name);
-                }
-            }
-            // The win poisoned the primary communicator to cancel the
-            // straggler; everyone is past the exit barrier now, so it can
-            // be made reusable again.
-            req.program.layers[layer][h.group].comm.reset();
-            if let Some(r) = rec {
-                r.add(keys::HEDGES_WON, 1);
-                r.instant(
-                    EXEC_PID,
-                    tid,
-                    "hedge:win",
-                    "exec",
-                    vec![("layer", layer.into()), ("group", h.group.into())],
-                );
-            }
-        } else if let Some(r) = rec {
-            r.add(keys::HEDGES_LOST, 1);
-            r.instant(
-                EXEC_PID,
-                tid,
-                "hedge:lose",
-                "exec",
-                vec![("layer", layer.into()), ("group", h.group.into())],
-            );
-        }
-    }
-}
-
-/// Record one barrier wait as a span plus a histogram observation.
-fn record_barrier(
-    rec: Option<&TraceRecorder>,
-    tid: u32,
-    layer: usize,
-    name: &'static str,
-    start_us: f64,
-) {
-    if let Some(r) = rec {
-        let wait_s = (r.now_us() - start_us) / 1e6;
-        r.observe(keys::BARRIER_WAIT, wait_s);
-        r.span_args(
-            EXEC_PID,
-            tid,
-            name,
-            "barrier",
-            start_us,
-            vec![("layer", layer.into())],
-        );
     }
 }
 
@@ -1915,6 +1732,19 @@ mod tests {
         assert_eq!(shrunk.layers[0][0].workers, 0..2);
         // Tasks of all three groups now run in sequence on the merged group.
         assert_eq!(shrunk.layers[0][0].tasks.len(), 3);
+    }
+
+    #[test]
+    fn proportional_sizes_sum_and_floor() {
+        assert_eq!(proportional_sizes(&[1, 1], 8), vec![4, 4]);
+        assert_eq!(proportional_sizes(&[3, 1], 8), vec![6, 2]);
+        let s = proportional_sizes(&[0, 1], 4);
+        assert_eq!(s.iter().sum::<usize>(), 4);
+        assert!(s[0] >= 1);
+        assert_eq!(proportional_sizes(&[1, 2, 1], 5).iter().sum::<usize>(), 5);
+        // Exactly one worker per group, and equal shares of zero widths.
+        assert_eq!(proportional_sizes(&[9, 1, 1], 3), vec![1, 1, 1]);
+        assert_eq!(proportional_sizes(&[0, 0], 5).iter().sum::<usize>(), 5);
     }
 
     /// A width-independent data-parallel layer: scale `v` by `factor`

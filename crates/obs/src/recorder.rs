@@ -155,7 +155,7 @@ impl TraceRecorder {
         &self.metrics
     }
 
-    /// Append an event to `lane` (lock-free; see [`Lane`]).
+    /// Append an event to `lane` (lock-free; see `Lane`).
     pub fn push(&self, lane: usize, ev: TraceEvent) {
         let Some(lane) = self.lanes.get(lane) else {
             self.dropped.fetch_add(1, Ordering::Relaxed);

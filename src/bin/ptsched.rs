@@ -532,19 +532,26 @@ fn handle_line(state: &ServeState, line: &str) -> String {
 
 fn serve_request(state: &ServeState, line: &str) -> Result<String, String> {
     let v: Value = serde_json::from_str(line).map_err(|e| format!("bad request: {e}"))?;
-    if let Some(Value::Str(cmd)) = get(&v, "cmd") {
-        return match cmd.as_str() {
-            "stats" => {
-                let v = Value::Map(vec![
-                    ("ok".into(), Value::Bool(true)),
-                    ("stats".into(), state.service.stats().serialize()),
-                ]);
-                Ok(serde_json::to_string(&v).expect("serialize stats"))
+    if !matches!(v, Value::Map(_)) {
+        return Err("bad request: expected a JSON object".into());
+    }
+    match get(&v, "cmd") {
+        None | Some(Value::Null) => {}
+        Some(Value::Str(cmd)) => {
+            return match cmd.as_str() {
+                "stats" => {
+                    let v = Value::Map(vec![
+                        ("ok".into(), Value::Bool(true)),
+                        ("stats".into(), state.service.stats().serialize()),
+                    ]);
+                    Ok(serde_json::to_string(&v).expect("serialize stats"))
+                }
+                "submit" => submit_request(state, &v),
+                "tenant" => tenant_request(state, &v),
+                other => Err(format!("unknown command `{other}`")),
             }
-            "submit" => submit_request(state, &v),
-            "tenant" => tenant_request(state, &v),
-            other => Err(format!("unknown command `{other}`")),
-        };
+        }
+        Some(other) => return Err(format!("field `cmd` must be a string, got {other:?}")),
     }
     let workload_name = str_or(&v, "workload", "epol")?;
     let platform_name = str_or(&v, "platform", "chic")?;

@@ -1,7 +1,7 @@
 //! Integration tests driving the `ptsched` binary: malformed or
 //! out-of-range arguments must exit with status 2 and a usage pointer
 //! (never a panic), and `ptsched serve` must answer line-delimited JSON
-//! requests on stdin.
+//! requests on stdin and over TCP, one reply per line, whatever the line.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
@@ -75,11 +75,15 @@ fn serve_answers_json_lines_on_stdin() {
     let mut stdin = child.stdin.take().expect("stdin pipe");
     let stdout = BufReader::new(child.stdout.take().expect("stdout pipe"));
 
+    let deep = deep_line();
     let requests = [
         r#"{"workload":"epol","cores":16,"steps":1}"#,
         r#"{"workload":"epol","cores":16,"steps":1}"#,
         r#"{"workload":"epol","cores":7,"steps":1}"#,
         r#"{"cmd":"stats"}"#,
+        &deep,
+        r#"{"cmd":5}"#,
+        r#"[1,2]"#,
     ];
     for r in requests {
         writeln!(stdin, "{r}").expect("write request");
@@ -113,11 +117,81 @@ fn serve_answers_json_lines_on_stdin() {
     assert!(lines[2].contains(r#""ok":false"#) && lines[2].contains("whole number"));
     // Stats reflect the hit and the two answered schedule requests.
     assert!(lines[3].contains(r#""hits":1"#) && lines[3].contains(r#""misses":1"#));
+    // Hostile or ill-typed lines get an error reply, never a default
+    // schedule or a crash.
+    assert!(lines[4].contains(r#""ok":false"#) && lines[4].contains("recursion limit"));
+    assert!(lines[5].contains(r#""ok":false"#) && lines[5].contains("`cmd` must be a string"));
+    assert!(lines[6].contains(r#""ok":false"#) && lines[6].contains("JSON object"));
 
     let status = child.wait().expect("serve exits");
     assert!(
         status.success(),
         "serve should exit 0 on EOF, got {status:?}"
+    );
+}
+
+/// One request line nesting 20 000 arrays, deep enough to overflow the
+/// stack of a parser that recurses without a bound.
+fn deep_line() -> String {
+    format!(r#"{{"cmd":{}{}}}"#, "[".repeat(20_000), "]".repeat(20_000))
+}
+
+/// Kills the wrapped child when dropped, so a failing test leaves no
+/// server behind.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_over_tcp_survives_a_deeply_nested_line() {
+    let mut child = KillOnDrop(
+        Command::new(BIN)
+            .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn ptsched serve --listen"),
+    );
+    let mut banner = String::new();
+    BufReader::new(child.0.stdout.take().expect("stdout pipe"))
+        .read_line(&mut banner)
+        .expect("read listen banner");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"));
+    let stream = std::net::TcpStream::connect(addr).expect("connect to ptsched serve");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("set read timeout");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone stream")).lines();
+    let mut ask = |line: &str| -> String {
+        writeln!(&stream, "{line}").expect("send request");
+        replies
+            .next()
+            .expect("one reply per line")
+            .expect("read reply")
+    };
+    let reply = ask(&deep_line());
+    assert!(
+        reply.contains(r#""ok":false"#) && reply.contains("recursion limit"),
+        "deep line must fail alone: {reply}"
+    );
+    // The same connection, and so the process, still answers.
+    let reply = ask(r#"{"cmd":"stats"}"#);
+    assert!(
+        reply.contains(r#""ok":true"#),
+        "stats after the deep line: {reply}"
+    );
+    assert!(
+        child.0.try_wait().expect("poll serve").is_none(),
+        "serve must still be running"
     );
 }
 

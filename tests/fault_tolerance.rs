@@ -7,8 +7,8 @@
 //! shows up as a test failure, not a hung CI job.
 
 use pt_exec::{
-    DataStore, ExecError, FaultPlan, GroupPlan, Program, RetryPolicy, RunOptions, TaskCtx, TaskFn,
-    Team,
+    DataStore, ExecError, FaultAction, FaultKind, FaultPlan, GroupPlan, Program, RetryPolicy,
+    RunOptions, TaskCtx, TaskFn, Team,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -420,10 +420,22 @@ fn fault_injection_trace_matches_retry_accounting() {
         let mut program = Program::single_layer(vec![GroupPlan::new(0..2, vec![init])]);
         program.push_layer(vec![GroupPlan::new(0..2, vec![sync])]);
         // Rank 0 panics on the first two attempts of layer 1; the third
-        // succeeds under a 3-attempt policy.
+        // succeeds under a 3-attempt policy.  A certain flake joins the
+        // first panic and rank 1 runs layer 0 slowly: both fire once
+        // without changing the retry story.
+        let flaky = FaultAction {
+            layer: 1,
+            rank: 0,
+            attempt: Some(1),
+            kind: FaultKind::Flaky { p: 1.0 },
+        };
         let opts = RunOptions {
             retry: RetryPolicy::attempts(3),
-            faults: FaultPlan::new().panic_at(1, 0, 1).panic_at(1, 0, 2),
+            faults: FaultPlan::new()
+                .panic_at(1, 0, 1)
+                .panic_at(1, 0, 2)
+                .push(flaky)
+                .slow_by(0, 1, 1.5),
             ..RunOptions::default()
         }
         .with_recorder(recorder.clone());
@@ -442,11 +454,14 @@ fn fault_injection_trace_matches_retry_accounting() {
             .count() as u64
     };
 
-    // Two injected panics, each triggering one rollback + retry.
-    assert_eq!(snapshot.counter(keys::FAULTS_INJECTED), Some(2));
+    // Two injected panics, each triggering one rollback + retry, plus the
+    // flake and the slowdown.
+    assert_eq!(snapshot.counter(keys::FAULTS_INJECTED), Some(4));
     assert_eq!(snapshot.counter(keys::RETRIES), Some(2));
     assert_eq!(snapshot.counter(keys::ROLLBACKS), Some(2));
     assert_eq!(instants("fault:panic"), 2);
+    assert_eq!(instants("fault:flaky"), 1);
+    assert_eq!(instants("fault:slow"), 1);
     assert_eq!(instants("retry"), 2);
     assert_eq!(
         instants("panic"),
@@ -454,10 +469,15 @@ fn fault_injection_trace_matches_retry_accounting() {
         "each injected fault surfaces as a task panic"
     );
 
-    // Counters and trace agree with each other, not just with the plan.
+    // Counters and trace agree with each other, not just with the plan:
+    // every fired fault, whatever its kind, is one count and one instant.
+    let fault_instants = events
+        .iter()
+        .filter(|e| e.phase == Phase::Instant && e.name.starts_with("fault:"))
+        .count() as u64;
     assert_eq!(
         snapshot.counter(keys::FAULTS_INJECTED),
-        Some(instants("fault:panic") + instants("fault:delay") + instants("fault:lose"))
+        Some(fault_instants)
     );
     assert_eq!(snapshot.counter(keys::RETRIES), Some(instants("retry")));
     assert_eq!(
@@ -479,4 +499,37 @@ fn fault_injection_trace_matches_retry_accounting() {
         .filter(|e| e.name == "attempt" && e.cat == "exec")
         .count();
     assert_eq!(attempts, 3, "three attempts: two faulty, one clean");
+}
+
+#[test]
+fn communicator_poisoned_from_outside_is_a_collective_abort() {
+    // No task panics: a communicator poisoned by someone other than the
+    // runtime is the one failure reported as `CollectiveAborted`.
+    let (team, result, rerun, aborts) = bounded(|| {
+        use pt_obs::{keys, TraceRecorder};
+        let team = Team::new(4);
+        let store = DataStore::new();
+        let mut program =
+            Program::single_layer(vec![GroupPlan::new(0..4, vec![allreduce_task("all")])]);
+        program.push_layer(vec![
+            GroupPlan::new(0..2, vec![allreduce_task("left")]),
+            GroupPlan::new(2..4, vec![allreduce_task("right")]),
+        ]);
+        program.layers[1][1].comm.poison();
+        let recorder = Arc::new(TraceRecorder::for_team(4));
+        let opts = RunOptions::default().with_recorder(recorder.clone());
+        let result = team.run_with(&program, &store, &opts);
+        let aborts = recorder.metrics().counter(keys::COLLECTIVE_ABORTS).get();
+        // The failed run reset the communicators, so the same program now
+        // runs cleanly.
+        let rerun = team.run(&program, &store).map(|_| store.get("right"));
+        (team, result, rerun, aborts)
+    });
+    assert_eq!(
+        result.unwrap_err(),
+        ExecError::CollectiveAborted { layer: 1, group: 1 }
+    );
+    assert!(aborts >= 1, "the abort is counted");
+    assert_eq!(rerun.unwrap(), Some(vec![3.0]));
+    assert_eq!(team.alive_workers(), 4);
 }
