@@ -19,17 +19,14 @@
 //! malleability for node granularity and is not expected to win.
 //!
 //! Results land in `BENCH_het.json` at the repository root.  `--quick`
-//! skips nothing (the grid is small); it is accepted for CI symmetry with
-//! the other gates and recorded in the JSON.
+//! skips nothing (the grid is small): its JSON differs from a full run's
+//! only in `"quick": true` and goes to `target/bench-quick/` (see
+//! [`pt_bench::gate`]), so a CI smoke run leaves the baseline alone.
 
-use pt_cost::CostModel;
-use pt_machine::{platforms, ClusterSpec};
-use pt_mtask::TaskGraph;
-use pt_sim::Simulator;
+use pt_bench::het::{juropa_het, run, slow_nodes};
 use serde::Serialize;
 
 const CORE_COUNTS: [usize; 2] = [256, 1024];
-const SLOW_FRACTION: f64 = 0.25;
 const SLOW_FACTOR: f64 = 0.5;
 
 #[derive(Serialize)]
@@ -57,41 +54,6 @@ struct Report {
     results: Vec<Entry>,
 }
 
-/// Two-class JUROPA with exactly `p` cores: the trailing quarter of the
-/// nodes runs at [`SLOW_FACTOR`]× nominal speed.
-fn juropa_het(p: usize) -> ClusterSpec {
-    let cpn = 8;
-    assert!(p.is_multiple_of(cpn));
-    let nodes = p / cpn;
-    let slow = ((nodes as f64) * SLOW_FRACTION).round() as usize;
-    platforms::juropa()
-        .with_nodes(nodes)
-        .with_slow_nodes(slow, SLOW_FACTOR)
-}
-
-/// `(het, blind, amtha)` simulated seconds per step of `graph` on `spec`.
-fn run(graph: &TaskGraph, spec: &ClusterSpec, steps: usize) -> (f64, f64, f64) {
-    let model = CostModel::new(spec);
-    let sim = Simulator::new(&model);
-    let map = pt_core::MappingStrategy::Consecutive.mapping(spec, spec.total_cores());
-
-    let het = pt_core::LayerScheduler::new(&model).schedule(graph);
-    assert!(het.validate().is_ok(), "invalid het schedule");
-    let blind = pt_core::LayerScheduler::new(&model)
-        .with_het_aware(false)
-        .schedule(graph);
-    assert!(blind.validate().is_ok(), "invalid blind schedule");
-    let amtha = pt_core::Amtha::new(&model).schedule(graph);
-    assert!(amtha.validate().is_ok(), "invalid AMTHA schedule");
-
-    let s = steps as f64;
-    (
-        sim.simulate_layered(graph, &het, &map).makespan / s,
-        sim.simulate_layered(graph, &blind, &map).makespan / s,
-        sim.simulate_layered(graph, &amtha, &map).makespan / s,
-    )
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
 
@@ -101,8 +63,8 @@ fn main() {
     let mut results = Vec::new();
     for (name, graph) in [("epol_r8", &epol), ("bt_mz_c", &bt)] {
         for p in CORE_COUNTS {
-            let spec = juropa_het(p);
-            let slow_nodes = ((spec.nodes as f64) * SLOW_FRACTION).round() as usize;
+            let spec = juropa_het(p, SLOW_FACTOR);
+            let slow_nodes = slow_nodes(spec.nodes);
             let (het_s, blind_s, amtha_s) = run(graph, &spec, 2);
             let speedup = blind_s / het_s;
             println!(
@@ -145,8 +107,5 @@ fn main() {
         quick,
         results,
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_het.json");
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(path, json + "\n").expect("write BENCH_het.json");
-    println!("wrote {path}");
+    pt_bench::gate::write_report("BENCH_het.json", quick, &report);
 }

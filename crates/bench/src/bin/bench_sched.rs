@@ -28,12 +28,13 @@
 //! what the code costs.
 //!
 //! `--quick` reduces repetitions for CI smoke runs (still covering every
-//! size, including P = 65536 and class E); the JSON is written either way.
+//! size, including P = 65536 and class E); its JSON goes under
+//! `target/bench-quick/` (see [`pt_bench::gate`]).
 
+use pt_bench::gate;
 use pt_bench::juropa_p;
 use pt_cost::CostModel;
 use serde::Serialize;
-use std::time::Instant;
 
 const CORE_COUNTS: [usize; 4] = [64, 256, 1024, 4096];
 
@@ -73,29 +74,17 @@ struct Report {
 }
 
 /// `(median, min)` per-schedule construction time in milliseconds over
-/// `reps` samples of `batch` back-to-back runs each.  Microsecond-scale
-/// graphs need `batch > 1`: a single 30 µs run is dominated by timer and
-/// scheduling jitter, so even the min over many one-run samples wobbles
-/// past a 1.0× gate; averaging inside each sample amortises that noise
-/// while the min across samples still rejects one-sided container load.
+/// `reps` samples of `batch` back-to-back runs each (see
+/// [`gate::time_ms`]).
 fn time_schedule(graph: &pt_mtask::TaskGraph, p: usize, reps: usize, batch: usize) -> (f64, f64) {
     let spec = juropa_p(p);
     let model = CostModel::new(&spec);
     let sched = pt_core::LayerScheduler::new(&model);
-    // Warm-up run (also validates the schedule shape).
-    let warm = sched.schedule(graph);
-    assert!(warm.validate().is_ok(), "invalid schedule for P = {p}");
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(sched.schedule(graph));
-            }
-            t0.elapsed().as_secs_f64() * 1e3 / batch as f64
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    (times[reps / 2], times[0])
+    assert!(
+        sched.schedule(graph).validate().is_ok(),
+        "invalid schedule for P = {p}"
+    );
+    gate::time_ms(reps, batch, || sched.schedule(graph))
 }
 
 fn main() {
@@ -117,7 +106,7 @@ fn main() {
     ] {
         for (i, &p) in CORE_COUNTS.iter().enumerate() {
             let (median, min) = time_schedule(graph, p, reps, batch);
-            let entry = Entry {
+            results.push(Entry {
                 graph: name,
                 tasks: graph.len(),
                 cores: p,
@@ -127,20 +116,20 @@ fn main() {
                 speedup: Some(baseline[i] / min),
                 gate_ms: None,
                 reps,
-            };
+            });
             println!(
                 "{name} P={p}: median {median:.4} ms, min {min:.4} ms \
                  (baseline {:.4} ms, {:.1}x)",
                 baseline[i],
                 baseline[i] / min
             );
-            results.push(entry);
         }
     }
 
-    // Scale cases: P = 65536 for the baseline graphs, BT-MZ class E at
-    // P ∈ {4096, 65536}.  Ceilings are ≈3× the calm-container medians so
-    // real complexity regressions trip them but tenant noise does not.
+    // Scale cases, gated on the spot: P = 65536 for the baseline graphs,
+    // BT-MZ class E at P ∈ {4096, 65536}.  Ceilings are ≈3× the
+    // calm-container medians so real complexity regressions trip them but
+    // tenant noise does not.
     let scale_reps = if quick { 1 } else { 3 };
     for (name, graph, p, gate_ms) in [
         ("epol_r8", &epol, 65536usize, 10.0),
@@ -150,6 +139,7 @@ fn main() {
     ] {
         let (median, min) = time_schedule(graph, p, scale_reps, 1);
         println!("{name} P={p}: median {median:.2} ms, min {min:.2} ms (gate {gate_ms} ms)");
+        gate::assert_ceiling(&format!("{name} P={p}"), min, gate_ms);
         results.push(Entry {
             graph: name,
             tasks: graph.len(),
@@ -164,40 +154,20 @@ fn main() {
     }
 
     // The two baseline-anchored gates have tight margins (15–25 % over the
-    // calm-container cost), and the shared container sees multi-second load
-    // bursts that inflate *every* sample of one run.  A failing measurement
-    // is therefore retried in later time windows with a backoff before the
-    // gate really fails: a regression fails all attempts, a tenant burst
-    // does not.  The recorded entries keep the first measurement.
-    let remeasure = |graph: &pt_mtask::TaskGraph, p: usize, reps, batch, limit_ms: f64| {
-        let mut best = f64::INFINITY;
-        for attempt in 0..4 {
-            if attempt > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(750));
-            }
-            let (_, min) = time_schedule(graph, p, reps, batch);
-            best = best.min(min);
-            if best <= limit_ms {
-                break;
-            }
-            println!("  gate retry {attempt}: min {best:.4} ms still over {limit_ms:.4} ms");
-        }
-        best
+    // calm-container cost), so a failing measurement is retried
+    // (`gate::retry`).  The recorded entries keep the first measurement.
+    let min_of = |graph: &str, p: usize| {
+        let e = results.iter().find(|e| e.graph == graph && e.cores == p);
+        e.expect("every anchored case is benchmarked").min_ms
     };
 
     // Gate: the scheduler hot path is instrumented (pt-obs spans), but with
     // no recorder attached it must stay within the ROADMAP threshold of
     // 5 ms for BT-MZ class C at P = 4096 — disabled recording is one branch
     // on an `Option`, not a regression.
-    let gate = results
-        .iter()
-        .find(|e| e.graph == "bt_mz_c" && e.cores == 4096)
-        .expect("bt_mz_c at P=4096 is always benchmarked");
-    let best = if gate.min_ms <= 5.0 {
-        gate.min_ms
-    } else {
-        remeasure(&bt, 4096, bt_reps, 1, 5.0)
-    };
+    let best = gate::retry(min_of("bt_mz_c", 4096), 5.0, || {
+        time_schedule(&bt, 4096, bt_reps, 1).1
+    });
     assert!(
         best <= 5.0,
         "recorder-off schedule construction regressed: bt_mz_c P=4096 took \
@@ -208,15 +178,9 @@ fn main() {
     // epol_r8 construction must be at least as fast as the 735d971
     // baseline at every anchored core count.
     for (i, &p) in CORE_COUNTS.iter().enumerate() {
-        let e = results
-            .iter()
-            .find(|e| e.graph == "epol_r8" && e.cores == p)
-            .expect("epol_r8 is benchmarked at every anchored core count");
-        let best = if e.min_ms <= BASELINE_EPOL_MS[i] {
-            e.min_ms
-        } else {
-            remeasure(&epol, p, epol_reps, 8, BASELINE_EPOL_MS[i])
-        };
+        let best = gate::retry(min_of("epol_r8", p), BASELINE_EPOL_MS[i], || {
+            time_schedule(&epol, p, epol_reps, 8).1
+        });
         assert!(
             best <= BASELINE_EPOL_MS[i],
             "small-graph cheap path regressed: epol_r8 P={p} at {best:.4} ms \
@@ -225,23 +189,9 @@ fn main() {
         );
     }
 
-    // Gate: the scale cases stay under their wall-clock ceilings.
-    for e in &results {
-        if let Some(gate_ms) = e.gate_ms {
-            assert!(
-                e.min_ms <= gate_ms,
-                "scale regression: {} P={} took {:.2} ms (gate: {gate_ms} ms)",
-                e.graph,
-                e.cores,
-                e.min_ms
-            );
-        }
-    }
-
     // Gate: a default-options executor run spawns no deadline monitor —
     // the fail-slow tolerance machinery must stay zero-cost when disabled.
-    let per_layer_us = pt_bench::zero_cost::assert_monitor_free(64);
-    println!("zero-cost probe: no monitor spawned, {per_layer_us:.1} us/layer");
+    gate::assert_monitor_free(64);
 
     let report = Report {
         benchmark: "schedule construction (LayerScheduler::schedule wall clock)",
@@ -250,8 +200,5 @@ fn main() {
         quick,
         results,
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(path, json + "\n").expect("write BENCH_sched.json");
-    println!("wrote {path}");
+    gate::write_report("BENCH_sched.json", quick, &report);
 }

@@ -30,15 +30,15 @@
 //! minimum is the robust estimate of what the code costs.
 //!
 //! `--quick` reduces repetitions and skips class D for CI smoke runs
-//! (still covering P = 65536 and class E); the JSON is only written by
-//! full runs (so a quick CI run cannot overwrite the gate numbers with
-//! noisy single-rep timings).
+//! (still covering P = 65536 and class E); its JSON goes under
+//! `target/bench-quick/` (see [`pt_bench::gate`]), so a quick CI run
+//! cannot overwrite the gate numbers with noisy single-rep timings.
 
+use pt_bench::gate;
 use pt_bench::juropa_p;
 use pt_core::{LayerScheduler, MappingStrategy};
 use pt_cost::CostModel;
 use serde::Serialize;
-use std::time::Instant;
 
 const CORE_COUNTS: [usize; 4] = [64, 256, 1024, 4096];
 
@@ -91,20 +91,6 @@ struct Case {
     layered_baseline: &'static [f64; 4],
 }
 
-/// `(median, min)` time in milliseconds over `reps` runs.
-fn time_ms(reps: usize, mut f: impl FnMut()) -> (f64, f64) {
-    f(); // warm-up
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    (times[reps / 2], times[0])
-}
-
 /// Time both simulators for one `(graph, P)` pair.
 fn time_pair(graph: &pt_mtask::TaskGraph, p: usize, reps: usize) -> ((f64, f64), (f64, f64)) {
     let spec = juropa_p(p);
@@ -113,13 +99,10 @@ fn time_pair(graph: &pt_mtask::TaskGraph, p: usize, reps: usize) -> ((f64, f64),
     let sched = LayerScheduler::new(&model).schedule(graph);
     let flat = sched.to_symbolic();
     let mapping = MappingStrategy::Consecutive.mapping(&spec, p);
-    let layered = time_ms(reps, || {
-        std::hint::black_box(sim.simulate_layered(graph, &sched, &mapping));
-    });
-    let flat = time_ms(reps, || {
-        std::hint::black_box(sim.simulate_flat(graph, &flat, &mapping));
-    });
-    (layered, flat)
+    (
+        gate::time_ms(reps, 1, || sim.simulate_layered(graph, &sched, &mapping)),
+        gate::time_ms(reps, 1, || sim.simulate_flat(graph, &flat, &mapping)),
+    )
 }
 
 fn main() {
@@ -162,7 +145,7 @@ fn main() {
                 ("layered", layered, case.layered_baseline[i]),
                 ("flat", flat, case.flat_baseline[i]),
             ] {
-                let entry = Entry {
+                results.push(Entry {
                     graph: case.name,
                     simulator,
                     tasks: case.graph.len(),
@@ -173,22 +156,22 @@ fn main() {
                     speedup: Some(baseline / min),
                     gate_ms: None,
                     reps,
-                };
+                });
                 println!(
                     "{} {simulator} P={p}: median {median:.4} ms, min {min:.4} ms \
                      (baseline {baseline:.4} ms, {:.1}x)",
                     case.name,
                     baseline / min
                 );
-                results.push(entry);
             }
         }
     }
 
-    // Scale cases: P = 65536 for the baseline graphs, BT-MZ class E at
-    // P ∈ {4096, 65536}.  Ceilings are ≈3× the calm-container medians so
-    // real complexity regressions (like the dense O(q²) block-redist
-    // matrix this PR removed) trip them but tenant noise does not.
+    // Scale cases, gated on the spot: P = 65536 for the baseline graphs,
+    // BT-MZ class E at P ∈ {4096, 65536}.  Ceilings are ≈3× the
+    // calm-container medians so real complexity regressions (like the
+    // dense O(q²) block-redist matrix the flat simulator once built) trip
+    // them but tenant noise does not.
     let scale_reps = if quick { 1 } else { 3 };
     for (name, graph, p, layered_gate, flat_gate) in [
         ("epol_r8", &cases[0].graph, 65536usize, 1000.0, 2000.0),
@@ -205,6 +188,7 @@ fn main() {
                 "{name} {simulator} P={p}: median {median:.2} ms, min {min:.2} ms \
                  (gate {gate_ms} ms)"
             );
+            gate::assert_ceiling(&format!("{name} {simulator} P={p}"), min, gate_ms);
             results.push(Entry {
                 graph: name,
                 simulator,
@@ -222,27 +206,17 @@ fn main() {
 
     // Gate: scheduling/simulation paths gained pt-obs instrumentation, but
     // with no recorder attached the flat simulator must keep its ≥5×
-    // speedup over the 0a214f9 baseline for BT-MZ class C at P = 4096.
-    // The shared container sees multi-second load bursts that inflate every
-    // sample of one run, so a failing measurement is retried in later time
-    // windows before the gate really fails (a regression fails all
-    // attempts, a tenant burst does not).
-    let gate = results
+    // speedup over the 0a214f9 baseline for BT-MZ class C at P = 4096,
+    // retried on a failing measurement (`gate::retry`).
+    let anchor = results
         .iter()
         .find(|e| e.graph == "bt_mz_c" && e.simulator == "flat" && e.cores == 4096)
         .expect("flat bt_mz_c at P=4096 is always benchmarked");
     let limit_ms = BASELINE_FLAT_BT_C_MS[3] / 5.0;
-    let mut best = gate.min_ms;
-    for attempt in 0..4 {
-        if best <= limit_ms {
-            break;
-        }
-        println!("  gate retry {attempt}: min {best:.4} ms still over {limit_ms:.4} ms");
-        std::thread::sleep(std::time::Duration::from_millis(750));
-        let reps = if quick { 3 } else { 20 };
-        let (_, (_, min)) = time_pair(&cases[1].graph, 4096, reps);
-        best = best.min(min);
-    }
+    let retry_reps = if quick { 3 } else { 20 };
+    let best = gate::retry(anchor.min_ms, limit_ms, || {
+        time_pair(&cases[1].graph, 4096, retry_reps).1 .1
+    });
     assert!(
         best <= limit_ms,
         "recorder-off flat simulation regressed: bt_mz_c P=4096 took \
@@ -250,24 +224,9 @@ fn main() {
         BASELINE_FLAT_BT_C_MS[3] / best
     );
 
-    // Gate: the scale cases stay under their wall-clock ceilings.
-    for e in &results {
-        if let Some(gate_ms) = e.gate_ms {
-            assert!(
-                e.min_ms <= gate_ms,
-                "scale regression: {} {} P={} took {:.2} ms (gate: {gate_ms} ms)",
-                e.graph,
-                e.simulator,
-                e.cores,
-                e.min_ms
-            );
-        }
-    }
-
     // Gate: a default-options executor run spawns no deadline monitor —
     // the fail-slow tolerance machinery must stay zero-cost when disabled.
-    let per_layer_us = pt_bench::zero_cost::assert_monitor_free(64);
-    println!("zero-cost probe: no monitor spawned, {per_layer_us:.1} us/layer");
+    gate::assert_monitor_free(64);
 
     let report = Report {
         benchmark: "schedule evaluation (Simulator::simulate_{flat,layered} wall clock)",
@@ -276,13 +235,5 @@ fn main() {
         quick,
         results,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    if quick {
-        println!("{json}");
-        println!("quick run: BENCH_SIM.json left untouched");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_SIM.json");
-        std::fs::write(path, json + "\n").expect("write BENCH_SIM.json");
-        println!("wrote {path}");
-    }
+    gate::write_report("BENCH_SIM.json", quick, &report);
 }

@@ -24,20 +24,21 @@
 //! (`ExecError::WatchdogTimeout`), pinning down the last line of defence.
 //!
 //! Full runs (50 campaigns) write `CHAOS.json` at the repository root;
-//! `--quick` runs a fixed-seed subset and only prints the JSON, so a CI
-//! smoke run cannot overwrite the gate artefact.
+//! `--quick` runs a fixed-seed subset and writes its JSON under
+//! `target/bench-quick/` (see [`pt_bench::gate`]), so a CI smoke run
+//! cannot overwrite the gate artefact.
 
+use pt_bench::replay::{self, Replay};
 use pt_core::{LayerScheduler, MappingStrategy};
 use pt_cost::CostModel;
 use pt_exec::{
-    ChaosConfig, DataStore, DeadlinePolicy, ExecError, FaultPlan, GroupPlan, Program, RetryPolicy,
-    RunOptions, Snapshot, TaskCtx, TaskFn, Team,
+    ChaosConfig, DataStore, DeadlinePolicy, ExecError, FaultPlan, Program, RetryPolicy, RunOptions,
+    Snapshot, TaskCtx, TaskFn, Team,
 };
 use pt_machine::platforms;
-use pt_mtask::{TaskGraph, TaskId};
+use pt_mtask::TaskGraph;
 use pt_obs::{keys, MetricsSnapshot, Reconciliation, TraceRecorder};
 use serde::Serialize;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,10 +51,6 @@ const RETRY_ATTEMPTS: u32 = 12;
 const FULL_SEEDS: u64 = 25;
 /// Campaign seeds per workload (`--quick`).
 const QUICK_SEEDS: u64 = 3;
-
-fn repo_path(name: &str) -> String {
-    format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
-}
 
 #[derive(Serialize)]
 struct CampaignEntry {
@@ -101,7 +98,6 @@ struct Workload {
     program: Program,
     policy: DeadlinePolicy,
     reference: Snapshot,
-    slack: f64,
 }
 
 fn counter(m: &MetricsSnapshot, key: &str) -> u64 {
@@ -126,17 +122,7 @@ fn build_workload(
     let mapping = MappingStrategy::Consecutive.mapping(&spec, p);
     let sim = pt_sim::Simulator::new(&model);
     let report = sim.simulate_layered(graph, &sched, &mapping);
-    let scale = target_wall / report.makespan.max(1e-9);
-    let index = report.index();
-    let dur_of = |t: TaskId| {
-        index
-            .get(&t)
-            .map(|&i| {
-                let tt = &report.tasks[i];
-                Duration::from_secs_f64((tt.finish - tt.start).max(0.0) * scale)
-            })
-            .unwrap_or_default()
-    };
+    let replay = Replay::new(&sched, &report, target_wall);
 
     // Per-layer budgets: the predicted wall clock of a layer is the
     // longest serial task chain over its groups (each group runs its
@@ -149,85 +135,34 @@ fn build_workload(
             layer
                 .assignments
                 .iter()
-                .map(|tasks| tasks.iter().map(|&t| dur_of(t).as_secs_f64()).sum::<f64>())
+                .map(|tasks| {
+                    tasks
+                        .iter()
+                        .map(|&t| replay.wall(t).as_secs_f64())
+                        .sum::<f64>()
+                })
                 .fold(0.0, f64::max)
         })
         .collect();
 
-    let mut layers: Vec<Vec<GroupPlan>> = Vec::new();
-    for layer in &sched.layers {
-        let mut groups = Vec::new();
-        for (g, tasks) in layer.assignments.iter().enumerate() {
-            let bodies: Vec<Arc<TaskFn>> = tasks
-                .iter()
-                .map(|&t| {
-                    let dur = dur_of(t);
-                    Arc::new(move |ctx: &TaskCtx| {
-                        std::thread::sleep(dur);
-                        let v = ctx.comm.allreduce_max_scalar(ctx.rank, 1.0);
-                        if ctx.rank == 0 {
-                            ctx.store
-                                .put(format!("out{}", t.0), vec![t.0 as f64 * v; 8]);
-                        }
-                    }) as Arc<TaskFn>
-                })
-                .collect();
-            groups.push(GroupPlan::new(layer.group_range(g), bodies));
-        }
-        layers.push(groups);
-    }
-    let mut it = layers.into_iter();
-    let mut program = Program::single_layer(it.next().expect("schedule has layers"));
-    for groups in it {
-        program.push_layer(groups);
-    }
+    let program = replay.program(|t, dur| {
+        Arc::new(move |ctx: &TaskCtx| {
+            std::thread::sleep(dur);
+            let v = ctx.comm.allreduce_max_scalar(ctx.rank, 1.0);
+            if ctx.rank == 0 {
+                ctx.store
+                    .put(format!("out{}", t.0), vec![t.0 as f64 * v; 8]);
+            }
+        }) as Arc<TaskFn>
+    });
 
     // Fault-free recorded reference run: produces the bit-equality target
-    // and the measured task times that feed the reconciliation (whose
-    // error widens the deadline slack).
-    let recorder = Arc::new(TraceRecorder::for_team(p));
-    let team = Team::new(p);
-    let store = DataStore::new();
-    let opts = RunOptions::default().with_recorder(recorder.clone());
-    team.run_with(&program, &store, &opts)
-        .expect("fault-free reference run");
-    let reference = store.snapshot();
-    drop((team, opts));
-    let mut recorder = Arc::try_unwrap(recorder).expect("recorder handles released");
-    let events = recorder.drain();
-
-    // Join measured task spans back to TaskIds (in simulated seconds).
-    let mut bounds: HashMap<TaskId, (f64, f64)> = HashMap::new();
-    for ev in events.iter().filter(|e| e.cat == "task") {
-        let arg = |key: &str| {
-            ev.args.iter().find_map(|(k, v)| {
-                (*k == key).then_some(match v {
-                    pt_obs::ArgValue::U64(u) => *u as usize,
-                    _ => usize::MAX,
-                })
-            })
-        };
-        let (Some(l), Some(g), Some(k)) = (arg("layer"), arg("group"), arg("task_index")) else {
-            continue;
-        };
-        let Some(&t) = sched
-            .layers
-            .get(l)
-            .and_then(|layer| layer.assignments.get(g))
-            .and_then(|tasks| tasks.get(k))
-        else {
-            continue;
-        };
-        let e = bounds
-            .entry(t)
-            .or_insert((f64::INFINITY, f64::NEG_INFINITY));
-        e.0 = e.0.min(ev.ts_us);
-        e.1 = e.1.max(ev.end_us());
-    }
-    let measured: HashMap<TaskId, f64> = bounds
-        .into_iter()
-        .map(|(t, (start, end))| (t, (end - start) / 1e6 / scale))
-        .collect();
+    // and the measured task times (cross-rank envelope, in simulated
+    // seconds) that feed the reconciliation, whose error widens the
+    // deadline slack.
+    let run = replay.run(&program, Arc::new(TraceRecorder::for_team(p)));
+    let reference = run.store.snapshot();
+    let measured = replay.measured(&run.spans, replay::envelope);
     let rec = Reconciliation::build(pt_sim::reconcile_samples(
         graph, &sched, &report, &model, &measured,
     ));
@@ -241,12 +176,12 @@ fn build_workload(
         .with_dead_after(Duration::from_millis(400))
         .with_poll(Duration::from_millis(10))
         .with_global_timeout(Some(Duration::from_secs(30)));
-    let slack = policy.slack;
     println!(
-        "{name}: {} tasks, {} layers, slack {slack:.2} (reconciled over {} tasks), \
+        "{name}: {} tasks, {} layers, slack {:.2} (reconciled over {} tasks), \
          budgets {:?} ms{}",
         graph.len(),
         program.layers.len(),
+        policy.slack,
         rec.compared,
         budgets_s
             .iter()
@@ -259,7 +194,6 @@ fn build_workload(
         program,
         policy,
         reference,
-        slack,
     }
 }
 
@@ -422,8 +356,8 @@ fn main() {
         "\n{} campaigns: all completed bit-equal (slack epol {:.2} / bt {:.2}); \
          {} total retries, {} hedges spawned, {} won, {} demotions",
         campaigns.len(),
-        workloads[0].slack,
-        workloads[1].slack,
+        workloads[0].policy.slack,
+        workloads[1].policy.slack,
         campaigns.iter().map(|c| c.retries).sum::<u64>(),
         campaigns.iter().map(|c| c.hedges_spawned).sum::<u64>(),
         campaigns.iter().map(|c| c.hedges_won).sum::<u64>(),
@@ -439,13 +373,5 @@ fn main() {
         campaigns,
         watchdog_only,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    if quick {
-        println!("{json}");
-        println!("quick run: CHAOS.json left untouched");
-    } else {
-        let path = repo_path("CHAOS.json");
-        std::fs::write(&path, json + "\n").expect("write CHAOS.json");
-        println!("wrote {path}");
-    }
+    pt_bench::gate::write_report("CHAOS.json", quick, &report);
 }

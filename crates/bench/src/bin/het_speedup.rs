@@ -21,40 +21,8 @@
 //! `--quick` drops to one core count and two slow factors for CI smoke
 //! runs.
 
+use pt_bench::het::{juropa_het, run};
 use pt_bench::table;
-use pt_cost::CostModel;
-use pt_machine::{platforms, ClusterSpec};
-use pt_mtask::TaskGraph;
-use pt_sim::Simulator;
-
-const SLOW_FRACTION: f64 = 0.25;
-
-/// Two-class JUROPA with `p` cores, trailing quarter at `factor`× speed.
-fn juropa_het(p: usize, factor: f64) -> ClusterSpec {
-    let nodes = p / 8;
-    let slow = ((nodes as f64) * SLOW_FRACTION).round() as usize;
-    platforms::juropa()
-        .with_nodes(nodes)
-        .with_slow_nodes(slow, factor)
-}
-
-/// `(het, blind, amtha)` simulated ms per step on the degraded machine.
-fn run(graph: &TaskGraph, spec: &ClusterSpec, steps: usize) -> (f64, f64, f64) {
-    let model = CostModel::new(spec);
-    let sim = Simulator::new(&model);
-    let map = pt_core::MappingStrategy::Consecutive.mapping(spec, spec.total_cores());
-    let het = pt_core::LayerScheduler::new(&model).schedule(graph);
-    let blind = pt_core::LayerScheduler::new(&model)
-        .with_het_aware(false)
-        .schedule(graph);
-    let amtha = pt_core::Amtha::new(&model).schedule(graph);
-    let scale = 1e3 / steps as f64;
-    (
-        sim.simulate_layered(graph, &het, &map).makespan * scale,
-        sim.simulate_layered(graph, &blind, &map).makespan * scale,
-        sim.simulate_layered(graph, &amtha, &map).makespan * scale,
-    )
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -71,23 +39,18 @@ fn main() {
     let columns: Vec<String> = factors.iter().map(|f| format!("slow={f}")).collect();
     for (name, graph) in [("epol_r8", &epol), ("bt_mz_c", &bt)] {
         for &p in core_counts {
-            let mut het_row = Vec::new();
-            let mut blind_row = Vec::new();
-            let mut amtha_row = Vec::new();
-            let mut speedup_row = Vec::new();
-            for &f in factors {
-                let spec = juropa_het(p, f);
-                let (h, b, a) = run(graph, &spec, 2);
-                het_row.push(h);
-                blind_row.push(b);
-                amtha_row.push(a);
-                speedup_row.push(b / h);
-            }
+            let runs: Vec<_> = factors
+                .iter()
+                .map(|&f| run(graph, &juropa_het(p, f), 2))
+                .collect();
+            let row = |label: &str, f: fn(&(f64, f64, f64)) -> f64| {
+                (label.to_string(), runs.iter().map(f).collect())
+            };
             let rows = vec![
-                ("het [ms/step]".to_string(), het_row),
-                ("blind [ms/step]".to_string(), blind_row),
-                ("AMTHA [ms/step]".to_string(), amtha_row),
-                ("blind / het".to_string(), speedup_row),
+                row("het [ms/step]", |r| r.0 * 1e3),
+                row("blind [ms/step]", |r| r.1 * 1e3),
+                row("AMTHA [ms/step]", |r| r.2 * 1e3),
+                row("blind / het", |r| r.1 / r.0),
             ];
             table::print(
                 &format!(

@@ -12,36 +12,24 @@
 //!
 //! The program is the EPOL time-step graph of the paper's evaluation
 //! (R = 4 stage chains on BRUSS2D), scheduled by the layer scheduler on a
-//! 2-node CHiC machine model and executed by a worker-thread [`Team`] with
-//! task bodies that busy-wait for their simulated durations — so measured
-//! times should reconcile with simulated ones up to scheduling noise, and
-//! the prediction-error columns exercise the full join.
+//! 2-node CHiC machine model and executed by a worker-thread
+//! [`Team`](pt_exec::Team) with task bodies that busy-wait for their
+//! simulated durations — so measured times should reconcile with
+//! simulated ones up to scheduling noise, and the prediction-error columns
+//! exercise the full join.
 //!
 //! `--quick` shortens the run for CI (same artefacts, smaller durations).
 
+use pt_bench::gate::repo_path;
+use pt_bench::replay::{self, Replay};
 use pt_core::{LayerScheduler, MappingStrategy};
 use pt_cost::CostModel;
-use pt_exec::{DataStore, GroupPlan, Program, RunOptions, TaskCtx, TaskFn, Team, EXEC_PID};
+use pt_exec::{TaskCtx, TaskFn, EXEC_PID};
 use pt_machine::platforms;
-use pt_mtask::TaskId;
 use pt_obs::{keys, Reconciliation, TraceProbe, TraceRecorder};
-use serde::Value;
-use std::collections::HashMap;
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Wall-clock budget the synthetic task bodies are scaled to fill.
-fn target_wall(quick: bool) -> f64 {
-    if quick {
-        0.25
-    } else {
-        1.0
-    }
-}
-
-fn repo_path(name: &str) -> String {
-    format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
-}
 
 fn busy_wait(dur: Duration) {
     let end = Instant::now() + dur;
@@ -75,101 +63,29 @@ fn main() {
         report.makespan
     );
 
-    // -- Synthesize an executable program: every task busy-waits for its
-    //    simulated duration, scaled so the whole run fits the wall budget;
-    //    rank 0 publishes a small array (re-distribution traffic). ---------
-    let scale = target_wall(quick) / report.makespan.max(1e-9);
-    let index = report.index();
-    let mut layers: Vec<Vec<GroupPlan>> = Vec::new();
-    for layer in &sched.layers {
-        let mut groups = Vec::new();
-        for (g, tasks) in layer.assignments.iter().enumerate() {
-            let bodies: Vec<Arc<TaskFn>> = tasks
-                .iter()
-                .map(|&t| {
-                    let dur = index
-                        .get(&t)
-                        .map(|&i| {
-                            let tt = &report.tasks[i];
-                            Duration::from_secs_f64((tt.finish - tt.start).max(0.0) * scale)
-                        })
-                        .unwrap_or_default();
-                    Arc::new(move |ctx: &TaskCtx| {
-                        busy_wait(dur);
-                        if ctx.rank == 0 {
-                            ctx.store.put(format!("out{}", t.0), vec![0.0; 64]);
-                        }
-                    }) as Arc<TaskFn>
-                })
-                .collect();
-            groups.push(GroupPlan::new(layer.group_range(g), bodies));
-        }
-        layers.push(groups);
-    }
-    let mut it = layers.into_iter();
-    let mut program = Program::single_layer(it.next().expect("EPOL has layers"));
-    for groups in it {
-        program.push_layer(groups);
-    }
+    // -- Execute with recording on: every task busy-waits for its
+    //    simulated duration, scaled so the whole run fits the wall budget
+    //    (0.25 s quick, 1 s full); rank 0 publishes a small array
+    //    (re-distribution traffic). ---------------------------------------
+    let replay = Replay::new(&sched, &report, if quick { 0.25 } else { 1.0 });
+    let program = replay.program(|t, dur| {
+        Arc::new(move |ctx: &TaskCtx| {
+            busy_wait(dur);
+            if ctx.rank == 0 {
+                ctx.store.put(format!("out{}", t.0), vec![0.0; 64]);
+            }
+        }) as Arc<TaskFn>
+    });
+    let run = replay.run(&program, recorder);
+    println!("executed in {:.4}s wall clock", run.wall.as_secs_f64());
+    assert!(!run.events.is_empty(), "recording produced no events");
 
-    // -- Execute with recording on ----------------------------------------
-    let team = Team::new(p);
-    let store = DataStore::new();
-    let opts = RunOptions::default().with_recorder(recorder.clone());
-    let wall = team
-        .run_with(&program, &store, &opts)
-        .expect("trace run executes");
-    println!("executed in {:.4}s wall clock", wall.as_secs_f64());
-    drop(opts);
-    drop(team); // workers join, releasing their recorder handles
-
-    // -- Drain the recorder -----------------------------------------------
-    let mut recorder = Arc::try_unwrap(recorder).expect("all recorder handles released");
-    let events = recorder.drain();
-    let dropped = recorder.dropped();
-    let snapshot = recorder.metrics().snapshot();
-    assert!(!events.is_empty(), "recording produced no events");
-
-    // Measured per-task wall time: join task spans (layer, group,
-    // task_index args) back to TaskIds through the schedule's assignment
-    // order, min start / max finish across the group's ranks.  Durations
-    // are divided by the busy-wait scale so all three time sources of the
-    // reconciliation are in simulated seconds.
-    let mut bounds: HashMap<TaskId, (f64, f64)> = HashMap::new();
-    for ev in events.iter().filter(|e| e.cat == "task") {
-        let arg = |name: &str| {
-            ev.args.iter().find_map(|(k, v)| {
-                (*k == name).then_some(match v {
-                    pt_obs::ArgValue::U64(u) => *u as usize,
-                    _ => usize::MAX,
-                })
-            })
-        };
-        let (Some(l), Some(g), Some(k)) = (arg("layer"), arg("group"), arg("task_index")) else {
-            continue;
-        };
-        let Some(&t) = sched
-            .layers
-            .get(l)
-            .and_then(|layer| layer.assignments.get(g))
-            .and_then(|tasks| tasks.get(k))
-        else {
-            continue;
-        };
-        let e = bounds
-            .entry(t)
-            .or_insert((f64::INFINITY, f64::NEG_INFINITY));
-        e.0 = e.0.min(ev.ts_us);
-        e.1 = e.1.max(ev.end_us());
-    }
-    let measured: HashMap<TaskId, f64> = bounds
-        .into_iter()
-        .map(|(t, (start, end))| (t, (end - start) / 1e6 / scale))
-        .collect();
+    // Measured per-task time: the envelope across the group's ranks.
+    let measured = replay.measured(&run.spans, replay::envelope);
     println!(
         "recorded {} events ({} dropped), measured {} tasks",
-        events.len(),
-        dropped,
+        run.events.len(),
+        run.recorder.dropped(),
         measured.len()
     );
 
@@ -182,11 +98,12 @@ fn main() {
     trace.name_thread(EXEC_PID, p as u32, "driver");
     trace.name_process(pt_core::two_level::SCHED_PID, "scheduler");
     trace.name_thread(pt_core::two_level::SCHED_PID, 0, "phases");
-    trace.extend(events);
+    trace.extend(run.events);
     let trace_json = trace.to_json();
     std::fs::write(repo_path("trace.json"), &trace_json).expect("write trace.json");
 
     // -- metrics.json ------------------------------------------------------
+    let snapshot = run.recorder.metrics().snapshot();
     let metrics_json = serde_json::to_string_pretty(&snapshot).expect("metrics serialise");
     std::fs::write(repo_path("metrics.json"), metrics_json).expect("write metrics.json");
 
@@ -203,51 +120,35 @@ fn main() {
     let back: pt_obs::MetricsSnapshot =
         serde_json::from_str(&std::fs::read_to_string(repo_path("metrics.json")).unwrap())
             .expect("metrics.json parses");
-    let tasks_run = back.counter(keys::TASKS_RUN).unwrap_or(0);
-    assert!(tasks_run > 0, "no task bodies recorded");
+    let summary = Summary {
+        quick,
+        tasks_run: back.counter(keys::TASKS_RUN).unwrap_or(0),
+        redist_bytes: back.counter(keys::REDIST_BYTES).unwrap_or(0),
+        compared: rec.compared,
+        mean_abs_predicted_err: rec.mean_abs_predicted_err,
+        barrier_wait_mean_s: back.histogram(keys::BARRIER_WAIT).map_or(0.0, |h| h.mean),
+        cost_evaluations: back.counter(keys::COST_EVALUATIONS).unwrap_or(0),
+        note: "open trace.json at https://ui.perfetto.dev",
+    };
+    assert!(summary.tasks_run > 0, "no task bodies recorded");
     assert!(rec.compared > 0, "reconciliation joined no tasks");
-    print_summary(&back, &rec, quick);
+    let json = serde_json::to_string_pretty(&summary).expect("summary serialises");
+    println!("{json}");
     println!(
         "wrote {} + metrics.json + reconciliation.json",
-        repo_path("trace.json")
+        repo_path("trace.json").display()
     );
 }
 
-fn print_summary(m: &pt_obs::MetricsSnapshot, rec: &Reconciliation, quick: bool) {
-    let summary = Value::Map(vec![
-        ("quick".into(), Value::Bool(quick)),
-        (
-            "tasks_run".into(),
-            Value::UInt(m.counter(keys::TASKS_RUN).unwrap_or(0)),
-        ),
-        (
-            "redist_bytes".into(),
-            Value::UInt(m.counter(keys::REDIST_BYTES).unwrap_or(0)),
-        ),
-        ("compared".into(), Value::UInt(rec.compared as u64)),
-        (
-            "mean_abs_predicted_err".into(),
-            Value::Float(rec.mean_abs_predicted_err),
-        ),
-        (
-            "barrier_wait_mean_s".into(),
-            Value::Float(
-                m.histogram(keys::BARRIER_WAIT)
-                    .map(|h| h.mean)
-                    .unwrap_or(0.0),
-            ),
-        ),
-        (
-            "cost_evaluations".into(),
-            Value::UInt(m.counter(keys::COST_EVALUATIONS).unwrap_or(0)),
-        ),
-        (
-            "note".into(),
-            Value::Str("open trace.json at https://ui.perfetto.dev".into()),
-        ),
-    ]);
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&summary).expect("summary serialises")
-    );
+/// The run's headline figures, printed last.
+#[derive(Serialize)]
+struct Summary {
+    quick: bool,
+    tasks_run: u64,
+    redist_bytes: u64,
+    compared: usize,
+    mean_abs_predicted_err: f64,
+    barrier_wait_mean_s: f64,
+    cost_evaluations: u64,
+    note: &'static str,
 }

@@ -108,10 +108,14 @@ pub fn chrome_trace(
 }
 
 /// Join the three time sources into reconciliation samples, one per
-/// scheduled task: `predicted` from the cost model's symbolic estimate at
-/// the group width the scheduler chose, `simulated` from the report's
-/// timeline, `measured` from the caller's wall-clock map (e.g. built from
-/// an executor trace; pass an empty map when no real run exists).
+/// scheduled task: `predicted` from the cost model's class-aware symbolic
+/// estimate at the group width the scheduler chose, priced at the slowest
+/// speed class in the group's symbolic core range (clamped to the physical
+/// cores, as the heterogeneity-aware scheduler prices its groups),
+/// `simulated` from the report's timeline, `measured` from the caller's
+/// wall-clock map (e.g. built from an executor trace; pass an empty map
+/// when no real run exists).  On a uniform machine every group is class 0,
+/// whose price is the homogeneous `task_time_symbolic` bit for bit.
 pub fn reconcile_samples(
     graph: &TaskGraph,
     sched: &LayeredSchedule,
@@ -120,17 +124,22 @@ pub fn reconcile_samples(
     measured: &HashMap<TaskId, f64>,
 ) -> Vec<TaskSample> {
     let index = report.index();
+    let physical = model.spec.total_cores();
     let mut samples = Vec::new();
     for (li, layer) in sched.layers.iter().enumerate() {
         for (g, tasks) in layer.assignments.iter().enumerate() {
             let width = layer.group_sizes[g];
+            let range = layer.group_range(g);
+            let class = model
+                .classes()
+                .slowest_in_range(range.start.min(physical), range.end.min(physical));
             for &t in tasks {
                 let task = graph.task(t);
                 samples.push(TaskSample {
                     task: t,
                     name: task.name.clone(),
                     layer: li,
-                    predicted: Some(model.task_time_symbolic(task, width)),
+                    predicted: Some(model.task_time_symbolic_class(task, width, class)),
                     simulated: index.get(&t).map(|&i| {
                         let tt = &report.tasks[i];
                         tt.finish - tt.start
@@ -207,5 +216,49 @@ mod tests {
         // terms the simulator charges; with a consecutive mapping on a
         // uniform machine they track each other closely.
         assert!(rec.mean_abs_predicted_err < 0.5);
+    }
+
+    #[test]
+    fn reconcile_samples_price_slow_groups_at_their_class() {
+        // EPOL R = 4 on 2-node CHiC with node 1 at half speed: a group on
+        // node 1 is priced at the slow class, a group on node 0 at the
+        // nominal (homogeneous) price.
+        let spec = platforms::chic().with_nodes(2).with_slow_nodes(1, 0.5);
+        let model = CostModel::new(&spec);
+        let g = pt_ode::Epol::new(4).step_graph(&pt_ode::Bruss2d::new(250), 1);
+        let p = spec.total_cores();
+        let sched = LayerScheduler::new(&model).schedule_on(&g, p);
+        let mapping = MappingStrategy::Consecutive.mapping(&spec, p);
+        let report = Simulator::new(&model).simulate_layered(&g, &sched, &mapping);
+        let samples = reconcile_samples(&g, &sched, &report, &model, &HashMap::new());
+        let predicted: HashMap<TaskId, f64> = samples
+            .iter()
+            .map(|s| (s.task, s.predicted.unwrap()))
+            .collect();
+        let slow = model.num_classes() - 1;
+        let (mut on_slow, mut on_fast) = (0, 0);
+        for layer in &sched.layers {
+            for (gi, tasks) in layer.assignments.iter().enumerate() {
+                let range = layer.group_range(gi);
+                let width = layer.group_sizes[gi];
+                for &t in tasks {
+                    let task = g.task(t);
+                    let nominal = model.task_time_symbolic(task, width);
+                    if range.end > 4 {
+                        on_slow += 1;
+                        let slow_price = model.task_time_symbolic_class(task, width, slow);
+                        assert!(slow_price > nominal, "{}", task.name);
+                        assert_eq!(predicted[&t].to_bits(), slow_price.to_bits());
+                    } else {
+                        on_fast += 1;
+                        assert_eq!(predicted[&t].to_bits(), nominal.to_bits());
+                    }
+                }
+            }
+        }
+        assert!(
+            on_slow > 0 && on_fast > 0,
+            "{on_slow} slow / {on_fast} fast"
+        );
     }
 }
