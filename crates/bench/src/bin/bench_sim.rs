@@ -78,6 +78,8 @@ struct Report {
     benchmark: &'static str,
     machine: &'static str,
     baseline_commit: &'static str,
+    /// Processors available to the run (`available_parallelism`).
+    nproc: usize,
     quick: bool,
     results: Vec<Entry>,
 }
@@ -232,6 +234,7 @@ fn main() {
         benchmark: "schedule evaluation (Simulator::simulate_{flat,layered} wall clock)",
         machine: "juropa",
         baseline_commit: "0a214f9",
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
         quick,
         results,
     };

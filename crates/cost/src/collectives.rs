@@ -3,6 +3,7 @@
 use crate::context::CommContext;
 use pt_machine::{ClusterSpec, CommLevel, CoreId};
 use pt_mtask::{CollectiveKind, CommOp, MTask};
+use std::cell::RefCell;
 
 /// Per-member block-size threshold above which the allgather uses the
 /// ring algorithm (mirrors the large-message switch of MVAPICH/MPT, which
@@ -187,7 +188,49 @@ impl<'a> CostModel<'a> {
     /// This intra-collective contention is what makes a ring allgather over
     /// scattered cores slow — every rank sends cross-node at once — while a
     /// consecutive layout crosses each node boundary exactly once.
+    ///
+    /// The per-node flow counts live in a per-thread scratch sized to the
+    /// largest machine the thread has priced and stamped per call, so a
+    /// step costs O(pairs) however many nodes the machine has.
     pub fn step_time(&self, ctx: &CommContext, pairs: &[(CoreId, CoreId)], bytes: f64) -> f64 {
+        FLOWS.with(|flows| {
+            let flows = &mut *flows.borrow_mut();
+            flows.begin(self.spec.nodes);
+            for &(a, b) in pairs {
+                if self.spec.level(a, b) == CommLevel::CrossNode {
+                    flows.at(self.spec.label(a).node).out += 1.0;
+                    flows.at(self.spec.label(b).node).inc += 1.0;
+                }
+            }
+            let mut worst = 0.0f64;
+            for &(a, b) in pairs {
+                if a == b {
+                    continue;
+                }
+                let level = self.spec.level(a, b);
+                let link = self.spec.link_at(level);
+                let t = if level == CommLevel::CrossNode {
+                    let na = self.spec.label(a).node;
+                    let nb = self.spec.label(b).node;
+                    let nic = self.spec.nic_bytes_per_s;
+                    let eff = link
+                        .bytes_per_s
+                        .min(nic / (flows.nodes[na].out * ctx.sharing(na)))
+                        .min(nic / (flows.nodes[nb].inc * ctx.sharing(nb)));
+                    link.latency_s + bytes / eff
+                } else {
+                    link.transfer_time(bytes)
+                };
+                worst = worst.max(t);
+            }
+            worst
+        })
+    }
+
+    /// The per-call `nodes`-long formulation the scratch replaced, kept as
+    /// the oracle for the bit-equality tests below.
+    #[cfg(test)]
+    fn step_time_dense(&self, ctx: &CommContext, pairs: &[(CoreId, CoreId)], bytes: f64) -> f64 {
         let mut out_flows = vec![0.0f64; self.spec.nodes];
         let mut in_flows = vec![0.0f64; self.spec.nodes];
         for &(a, b) in pairs {
@@ -506,31 +549,43 @@ impl<'a> CostModel<'a> {
 
     /// Time of a single internal communication operation on a group.
     pub fn comm_op(&self, ctx: &CommContext, cores: &[CoreId], op: &CommOp) -> f64 {
-        let once = match op.kind {
+        self.comm_op_once(ctx, cores, op) * op.count
+    }
+
+    /// Time of *one* execution of a communication operation (its `count`
+    /// not applied).  It depends only on the context, the cores, `op.kind`
+    /// and `op.bytes`, which is what lets a caller memoize it.
+    pub fn comm_op_once(&self, ctx: &CommContext, cores: &[CoreId], op: &CommOp) -> f64 {
+        match op.kind {
             CollectiveKind::Broadcast => self.bcast(ctx, cores, op.bytes),
             CollectiveKind::Allgather => self.allgather(ctx, cores, op.bytes),
             CollectiveKind::Allreduce => self.allreduce(ctx, cores, op.bytes),
             CollectiveKind::Barrier => self.barrier(ctx, cores),
             CollectiveKind::NeighborExchange => self.neighbor_exchange(ctx, cores, op.bytes),
-        };
-        once * op.count
+        }
     }
 
     /// `T(M, q, mp)`: full execution time of an M-task on the given physical
     /// cores (the mapping pattern *is* the identity of those cores).
     pub fn task_time(&self, ctx: &CommContext, task: &MTask, cores: &[CoreId]) -> f64 {
-        let useful = match task.max_cores {
-            Some(cap) => &cores[..cores.len().min(cap)],
-            None => cores,
-        };
+        self.task_time_by(task, cores, |useful, op| self.comm_op_once(ctx, useful, op))
+    }
+
+    /// [`task_time`](Self::task_time) with the caller supplying
+    /// [`comm_op_once`](Self::comm_op_once) for each op on the useful
+    /// (capped) cores, e.g. from a memo.  Capping, the compute share and
+    /// the order of the comm sum stay defined here only.
+    pub fn task_time_by(
+        &self,
+        task: &MTask,
+        cores: &[CoreId],
+        mut once: impl FnMut(&[CoreId], &CommOp) -> f64,
+    ) -> f64 {
+        let useful = useful_cores(task, cores);
         if useful.is_empty() {
             return 0.0;
         }
-        let comm: f64 = task
-            .comm
-            .iter()
-            .map(|op| self.comm_op(ctx, useful, op))
-            .sum();
+        let comm: f64 = task.comm.iter().map(|op| once(useful, op) * op.count).sum();
         self.compute_share(task, cores) + comm
     }
 
@@ -539,10 +594,7 @@ impl<'a> CostModel<'a> {
     /// simulators can subtract it from the total to report the
     /// communication share without re-deriving the speed logic.
     pub fn compute_share(&self, task: &MTask, cores: &[CoreId]) -> f64 {
-        let useful = match task.max_cores {
-            Some(cap) => &cores[..cores.len().min(cap)],
-            None => cores,
-        };
+        let useful = useful_cores(task, cores);
         if useful.is_empty() {
             return 0.0;
         }
@@ -566,6 +618,72 @@ impl<'a> CostModel<'a> {
             .map(|g| self.allgather(&ctx, g.as_ref(), total_bytes))
             .fold(0.0, f64::max)
     }
+}
+
+/// The cores a task can use: the first `max_cores` of its group.
+fn useful_cores<'c>(task: &MTask, cores: &'c [CoreId]) -> &'c [CoreId] {
+    match task.max_cores {
+        Some(cap) => &cores[..cores.len().min(cap)],
+        None => cores,
+    }
+}
+
+/// Crossing flows leaving and entering one node in the current step, valid
+/// only while `call` is the current call's stamp.
+#[derive(Clone, Copy, Default)]
+struct NodeFlows {
+    call: u32,
+    out: f64,
+    inc: f64,
+}
+
+/// Per-node crossing-flow counts of [`CostModel::step_time`].  An entry
+/// counts only if it carries the current call's stamp, so no call has to
+/// clear what an earlier one (or one that panicked half-way) left behind.
+struct Flows {
+    nodes: Vec<NodeFlows>,
+    call: u32,
+}
+
+impl Flows {
+    /// Start a step on a machine of `nodes` nodes: every entry reads as
+    /// untouched.
+    fn begin(&mut self, nodes: usize) {
+        if self.nodes.len() < nodes {
+            self.nodes.resize(nodes, NodeFlows::default());
+        }
+        self.call = self.call.wrapping_add(1);
+        if self.call == 0 {
+            self.nodes.fill(NodeFlows::default());
+            self.call = 1;
+        }
+    }
+
+    /// Node `n`'s counts, zeroed on their first use in this call.
+    #[inline]
+    fn at(&mut self, n: usize) -> &mut NodeFlows {
+        let call = self.call;
+        let e = &mut self.nodes[n];
+        if e.call != call {
+            *e = NodeFlows {
+                call,
+                out: 0.0,
+                inc: 0.0,
+            };
+        }
+        e
+    }
+}
+
+thread_local! {
+    /// Thread-local because the model itself is shared by the scheduler's
+    /// sweep threads.
+    static FLOWS: RefCell<Flows> = const {
+        RefCell::new(Flows {
+            nodes: Vec::new(),
+            call: 0,
+        })
+    };
 }
 
 #[cfg(test)]
@@ -852,6 +970,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Random step pairs over the cores of `spec` (self pairs included).
+    fn random_pairs(spec: &ClusterSpec, raw: &[(usize, usize)]) -> Vec<(CoreId, CoreId)> {
+        let total = spec.total_cores();
+        raw.iter()
+            .map(|&(a, b)| (CoreId(a % total), CoreId(b % total)))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn step_time_scratch_matches_dense_oracle(
+            nodes in 1usize..48,
+            raw in proptest::collection::vec((0usize..100_000, 0usize..100_000), 0..96),
+            hot in proptest::collection::vec((0usize..48, 1u32..9), 0..6),
+            size in 0usize..3,
+        ) {
+            let spec = platforms::juropa().with_nodes(nodes);
+            let m = CostModel::new(&spec);
+            let mut ctx = CommContext::uniform(&spec);
+            for &(n, s) in &hot {
+                ctx.sharers[n % nodes] = f64::from(s);
+            }
+            let pairs = random_pairs(&spec, &raw);
+            let bytes = [8.0, 4096.0, 1e6][size];
+            proptest::prop_assert_eq!(
+                m.step_time(&ctx, &pairs, bytes).to_bits(),
+                m.step_time_dense(&ctx, &pairs, bytes).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn step_time_scratch_survives_alternating_machine_sizes() {
+        // One thread, the bigger machine first: the scratch is sized by the
+        // 64-node machine and then reused by the 4-node one and back, so a
+        // stale count or an undersized scratch would change a price.
+        std::thread::spawn(|| {
+            let big = platforms::juropa().with_nodes(64);
+            let small = platforms::chic().with_nodes(4);
+            let (mb, ms) = (CostModel::new(&big), CostModel::new(&small));
+            let (cb, cs) = (CommContext::uniform(&big), CommContext::uniform(&small));
+            for round in 0..50usize {
+                let raw: Vec<(usize, usize)> = (0..40)
+                    .map(|i| (i * 7 + round * 13, i * 31 + round * 5 + 1))
+                    .collect();
+                for (m, ctx) in [(&mb, &cb), (&ms, &cs)] {
+                    let pairs = random_pairs(m.spec, &raw);
+                    for bytes in [8.0, 1e6] {
+                        assert_eq!(
+                            m.step_time(ctx, &pairs, bytes).to_bits(),
+                            m.step_time_dense(ctx, &pairs, bytes).to_bits(),
+                            "round {round}, {} nodes @ {bytes}B",
+                            m.spec.nodes
+                        );
+                    }
+                }
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

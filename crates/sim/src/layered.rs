@@ -10,8 +10,51 @@ use pt_core::hybrid::{hybrid_task_time, ProcessLayout};
 use pt_core::{LayeredSchedule, Mapping};
 use pt_cost::CommContext;
 use pt_machine::CoreId;
-use pt_mtask::{RedistPattern, TaskGraph, TaskId};
+use pt_mtask::{CollectiveKind, MTask, RedistPattern, TaskGraph, TaskId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Where a group's collectives are priced: the layer's contention
+/// context (numbered by its active-range signature, so equal signatures
+/// share a number) and the group's symbolic core range.
+type GroupKey = (usize, (usize, usize));
+
+/// Per-run memo of un-multiplied collective prices, keyed by value: the
+/// group, the useful width after `max_cores`, the op's kind and the bits of
+/// its byte count.  The context and the mapped cores are functions of the
+/// group key, so a hit returns exactly the `f64` a fresh
+/// [`CostModel::comm_op_once`](pt_cost::CostModel::comm_op_once) would.
+/// Single-core collectives are free and skip it.
+type CommMemo =
+    HashMap<(GroupKey, usize, CollectiveKind, u64), f64, BuildHasherDefault<WordHasher>>;
+
+/// Multiply-rotate hash over whole words (the FxHash scheme): the memo's
+/// keys are six integers, and at small group widths SipHash costs more
+/// than the pricing it saves.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+    fn finish(&self) -> u64 {
+        // The multiply mixes upwards; bring the well-mixed high bits down
+        // to where the table takes its bucket index.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Layer contexts by active-range signature, each with its number.
+type ContextCache = HashMap<Vec<(usize, usize)>, (usize, std::rc::Rc<CommContext>)>;
 
 impl Simulator<'_> {
     /// Simulate a layered schedule under a mapping.
@@ -20,6 +63,33 @@ impl Simulator<'_> {
         graph: &TaskGraph,
         sched: &LayeredSchedule,
         mapping: &Mapping,
+    ) -> SimReport {
+        self.simulate_layered_counted(graph, sched, mapping).0
+    }
+
+    /// [`simulate_layered`](Self::simulate_layered) plus the number of
+    /// distinct collective pricings the run made (the memo's size).
+    fn simulate_layered_counted(
+        &self,
+        graph: &TaskGraph,
+        sched: &LayeredSchedule,
+        mapping: &Mapping,
+    ) -> (SimReport, usize) {
+        let mut memo = CommMemo::default();
+        let report = self.run_layers(graph, sched, mapping, |task, cores, ctx, key| {
+            self.task_duration(task, cores, ctx, key, &mut memo)
+        });
+        (report, memo.len())
+    }
+
+    /// The layer loop, with each task's `(duration, comm share)` from
+    /// `price(task, cores, ctx, group key)`.
+    fn run_layers(
+        &self,
+        graph: &TaskGraph,
+        sched: &LayeredSchedule,
+        mapping: &Mapping,
+        mut price: impl FnMut(&MTask, &[CoreId], &CommContext, GroupKey) -> (f64, f64),
     ) -> SimReport {
         assert!(
             mapping.len() >= sched.total_cores,
@@ -37,7 +107,7 @@ impl Simulator<'_> {
         // the contention context by active-range signature instead of
         // rebuilding both every layer.
         let mut phys_cache: HashMap<(usize, usize), std::rc::Rc<Vec<CoreId>>> = HashMap::new();
-        let mut ctx_cache: HashMap<Vec<(usize, usize)>, std::rc::Rc<CommContext>> = HashMap::new();
+        let mut ctx_cache: ContextCache = HashMap::new();
 
         for layer in &sched.layers {
             let mut ranges = Vec::with_capacity(layer.num_groups());
@@ -62,12 +132,16 @@ impl Simulator<'_> {
                 .filter(|(_, ts)| !ts.is_empty())
                 .map(|(g, _)| ranges[g])
                 .collect();
-            let ctx = ctx_cache
+            let next_id = ctx_cache.len();
+            let (ctx_id, ctx) = ctx_cache
                 .entry(signature)
                 .or_insert_with_key(|sig| {
                     let active: Vec<&[CoreId]> =
                         sig.iter().map(|r| phys_cache[r].as_slice()).collect();
-                    std::rc::Rc::new(CommContext::from_groups(spec, &active))
+                    (
+                        next_id,
+                        std::rc::Rc::new(CommContext::from_groups(spec, &active)),
+                    )
                 })
                 .clone();
             let ctx = &*ctx;
@@ -84,8 +158,7 @@ impl Simulator<'_> {
                 let cores = &phys[g];
                 let mut cursor = now;
                 for &t in tasks {
-                    let task = graph.task(t);
-                    let (dur, comm) = self.task_duration(task, cores, ctx);
+                    let (dur, comm) = price(graph.task(t), cores, ctx, (ctx_id, ranges[g]));
                     report.tasks.push(TaskTiming {
                         task: t,
                         start: cursor,
@@ -116,11 +189,15 @@ impl Simulator<'_> {
     }
 
     /// Duration and communication share of one task on its mapped cores.
+    /// The pure-MPI path prices each collective once per run through the
+    /// memo; the hybrid path prices per task.
     fn task_duration(
         &self,
-        task: &pt_mtask::MTask,
+        task: &MTask,
         cores: &[CoreId],
         ctx: &CommContext,
+        key: GroupKey,
+        memo: &mut CommMemo,
     ) -> (f64, f64) {
         match &self.hybrid {
             Some(cfg) => {
@@ -139,13 +216,36 @@ impl Simulator<'_> {
                 (total, (total - compute).max(0.0))
             }
             None => {
-                let total = self.model.task_time(ctx, task, cores);
+                let total = self.model.task_time_by(task, cores, |useful, op| {
+                    if useful.len() < 2 {
+                        return self.model.comm_op_once(ctx, useful, op);
+                    }
+                    *memo
+                        .entry((key, useful.len(), op.kind, op.bytes.to_bits()))
+                        .or_insert_with(|| self.model.comm_op_once(ctx, useful, op))
+                });
                 // Same capping and slowest-core division as task_time, so
                 // the communication share stays exact on het machines.
                 let compute = self.model.compute_share(task, cores);
                 (total, (total - compute).max(0.0))
             }
         }
+    }
+
+    /// The per-task pricing the memo replaced, kept as the oracle for the
+    /// bit-identity tests below (pure-MPI only; the hybrid path is not
+    /// memoized).
+    #[cfg(test)]
+    fn task_duration_direct(
+        &self,
+        task: &MTask,
+        cores: &[CoreId],
+        ctx: &CommContext,
+    ) -> (f64, f64) {
+        assert!(self.hybrid.is_none());
+        let total = self.model.task_time(ctx, task, cores);
+        let compute = self.model.compute_share(task, cores);
+        (total, (total - compute).max(0.0))
     }
 
     /// Re-distribution time paid before a layer can start: the aggregated
@@ -230,11 +330,15 @@ impl Simulator<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::Simulator;
-    use pt_core::{DataParallel, LayerScheduler, MappingStrategy};
+    use crate::{SimReport, Simulator};
+    use pt_core::{
+        DataParallel, LayerSchedule, LayerScheduler, LayeredSchedule, Mapping, MappingStrategy,
+    };
     use pt_cost::CostModel;
     use pt_machine::platforms;
-    use pt_mtask::{DataRef, EdgeData, MTask, Spec, TaskGraph, TaskId};
+    use pt_mtask::{CollectiveKind, CommOp, DataRef, EdgeData, MTask, Spec, TaskGraph, TaskId};
+    use pt_nas::{bt_mz, sp_mz, Class};
+    use pt_ode::{Bruss2d, Epol};
 
     #[test]
     fn layers_execute_back_to_back() {
@@ -341,6 +445,198 @@ mod tests {
             t_scat.total_redist,
             t_cons.total_redist
         );
+    }
+
+    /// The pre-memo run: every task priced by `CostModel::task_time`.
+    fn simulate_direct(
+        sim: &Simulator,
+        g: &TaskGraph,
+        sched: &LayeredSchedule,
+        mapping: &Mapping,
+    ) -> SimReport {
+        sim.run_layers(g, sched, mapping, |task, cores, ctx, _| {
+            sim.task_duration_direct(task, cores, ctx)
+        })
+    }
+
+    fn assert_bit_equal(a: &SimReport, b: &SimReport, what: &str) {
+        assert_eq!(
+            a.makespan.to_bits(),
+            b.makespan.to_bits(),
+            "{what}: makespan"
+        );
+        assert_eq!(
+            a.total_redist.to_bits(),
+            b.total_redist.to_bits(),
+            "{what}: total_redist"
+        );
+        assert_eq!(a.tasks.len(), b.tasks.len(), "{what}: tasks");
+        for (x, y) in a.tasks.iter().zip(&b.tasks) {
+            assert_eq!(x.task, y.task, "{what}");
+            assert_eq!(x.start.to_bits(), y.start.to_bits(), "{what}: {:?}", x.task);
+            assert_eq!(
+                x.finish.to_bits(),
+                y.finish.to_bits(),
+                "{what}: {:?}",
+                x.task
+            );
+            assert_eq!(
+                x.comm_time.to_bits(),
+                y.comm_time.to_bits(),
+                "{what}: {:?}",
+                x.task
+            );
+        }
+        assert_eq!(a.layers.len(), b.layers.len(), "{what}: layers");
+        for (i, (x, y)) in a.layers.iter().zip(&b.layers).enumerate() {
+            assert_eq!(x.start.to_bits(), y.start.to_bits(), "{what}: layer {i}");
+            assert_eq!(x.finish.to_bits(), y.finish.to_bits(), "{what}: layer {i}");
+            assert_eq!(x.redist.to_bits(), y.redist.to_bits(), "{what}: layer {i}");
+            assert_eq!(x.groups.len(), y.groups.len(), "{what}: layer {i}");
+            for (gx, gy) in x.groups.iter().zip(&y.groups) {
+                assert_eq!(gx.busy.to_bits(), gy.busy.to_bits(), "{what}: layer {i}");
+                assert_eq!(gx.tasks, gy.tasks, "{what}: layer {i}");
+            }
+        }
+    }
+
+    /// Small step graphs of the three workload families (two steps each).
+    fn small_graph(kind: usize) -> TaskGraph {
+        match kind {
+            0 => Epol::new(4).step_graph(&Bruss2d::new(64), 2),
+            1 => bt_mz(Class::A).step_graph(2),
+            2 => sp_mz(Class::A).step_graph(2),
+            3 => Epol::new(8).step_graph(&Bruss2d::new(128), 2),
+            _ => bt_mz(Class::B).step_graph(2),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn comm_memo_is_bit_identical_to_per_task_pricing(
+            kind in 0usize..5,
+            platform in 0usize..2,
+            nodes in 2usize..17,
+            slow in 0usize..3,
+            strategy in 0usize..3,
+        ) {
+            let base = if platform == 0 { platforms::juropa() } else { platforms::chic() };
+            let mut spec = base.with_nodes(nodes);
+            if slow > 0 {
+                spec = spec.with_slow_nodes(slow.min(nodes - 1), 0.5);
+            }
+            let model = CostModel::new(&spec);
+            let sim = Simulator::new(&model);
+            let g = small_graph(kind);
+            let p = spec.total_cores();
+            let sched = LayerScheduler::new(&model).schedule(&g);
+            let mapping = match strategy {
+                0 => MappingStrategy::Consecutive,
+                1 => MappingStrategy::Scattered,
+                _ => MappingStrategy::Mixed(2),
+            }
+            .mapping(&spec, p);
+            let memo = sim.simulate_layered(&g, &sched, &mapping);
+            let direct = simulate_direct(&sim, &g, &sched, &mapping);
+            assert_bit_equal(
+                &memo,
+                &direct,
+                &format!("kind {kind}, platform {platform}, {nodes} nodes, slow {slow}, mapping {strategy}"),
+            );
+        }
+    }
+
+    #[test]
+    fn comm_memo_keys_on_context_and_useful_width() {
+        // The same group range and op under two different layer contexts
+        // (both groups active, then group 1 idle), and a task capped by
+        // `max_cores` beside an uncapped one in the same group: each pair
+        // must be priced separately, and so must two kinds of op of equal
+        // size.
+        let spec = platforms::chic().with_nodes(4);
+        let model = CostModel::new(&spec);
+        let sim = Simulator::new(&model);
+        let op = || vec![CommOp::allgather(1e6, 1.0)];
+        let mut g = TaskGraph::new();
+        let a = g.add_task(MTask::with_comm("a", 1e9, op()));
+        let b = g.add_task(MTask::with_comm(
+            "b",
+            1e9,
+            vec![
+                CommOp::allgather(1e6, 1.0),
+                CommOp::new(CollectiveKind::Allreduce, 1e6, 1.0),
+            ],
+        ));
+        let c = g.add_task(MTask::with_comm("c", 1e9, op()));
+        let d = g.add_task(MTask::with_comm("d", 1e9, op()).max_cores(2));
+        let sched = LayeredSchedule {
+            total_cores: 16,
+            layers: vec![
+                LayerSchedule {
+                    group_sizes: vec![8, 8],
+                    assignments: vec![vec![a], vec![b]],
+                },
+                LayerSchedule {
+                    group_sizes: vec![8, 8],
+                    assignments: vec![vec![c, d], vec![]],
+                },
+            ],
+        };
+        let mapping = MappingStrategy::Scattered.mapping(&spec, 16);
+        let (report, pricings) = sim.simulate_layered_counted(&g, &sched, &mapping);
+        assert_bit_equal(
+            &report,
+            &simulate_direct(&sim, &g, &sched, &mapping),
+            "keys",
+        );
+        assert_eq!(pricings, 5);
+        let comm = |t| report.task(t).unwrap().comm_time;
+        assert!(comm(a) > comm(c), "shared NICs make layer 0 dearer");
+        assert!(comm(c) > comm(d), "two cores gather less than eight");
+    }
+
+    /// `(distinct pricings, comm ops priced)` of one memoized run.
+    fn pricing_counts(g: &TaskGraph, p: usize, strategy: MappingStrategy) -> (usize, usize) {
+        let spec = platforms::juropa().with_nodes(p / 8);
+        let model = CostModel::new(&spec);
+        let sim = Simulator::new(&model);
+        let sched = LayerScheduler::new(&model).schedule(g);
+        let mapping = strategy.mapping(&spec, p);
+        let (report, pricings) = sim.simulate_layered_counted(g, &sched, &mapping);
+        let ops = report.tasks.iter().map(|t| g.task(t.task).comm.len()).sum();
+        assert_bit_equal(
+            &report,
+            &simulate_direct(&sim, g, &sched, &mapping),
+            "counts",
+        );
+        (pricings, ops)
+    }
+
+    #[test]
+    fn comm_memo_prices_each_distinct_collective_once() {
+        // Deterministic work counters: a change that defeats the memo fails
+        // here by count, not only on wall-clock time.
+        let epol = Epol::new(8).step_graph(&Bruss2d::new(500), 2);
+        let bt_c = bt_mz(Class::C).step_graph(2);
+        for strategy in [MappingStrategy::Consecutive, MappingStrategy::Scattered] {
+            assert_eq!(
+                pricing_counts(&epol, 4096, strategy),
+                (9, 74),
+                "epol {strategy:?}"
+            );
+            assert_eq!(
+                pricing_counts(&bt_c, 4096, strategy),
+                (256, 512),
+                "bt-mz C {strategy:?}"
+            );
+            // One core per zone: every collective is free and none is
+            // memoized.
+            assert_eq!(
+                pricing_counts(&bt_c, 64, strategy),
+                (0, 512),
+                "bt-mz C P=64 {strategy:?}"
+            );
+        }
     }
 
     #[test]

@@ -448,21 +448,7 @@ fn serve_main(args: &mut dyn Iterator<Item = String>) -> i32 {
     });
     match o.listen {
         None => {
-            let stdin = std::io::stdin();
-            let mut out = std::io::stdout().lock();
-            for line in stdin.lock().lines() {
-                let line = match line {
-                    Ok(l) => l,
-                    Err(_) => break,
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if writeln!(out, "{}", handle_line(&state, &line)).is_err() {
-                    break;
-                }
-                let _ = out.flush();
-            }
+            serve_lines(&state, std::io::stdin().lock(), std::io::stdout().lock());
             0
         }
         Some(addr) => {
@@ -490,17 +476,91 @@ fn serve_main(args: &mut dyn Iterator<Item = String>) -> i32 {
 
 fn serve_connection(state: &ServeState, stream: std::net::TcpStream) {
     let Ok(peer) = stream.try_clone() else { return };
-    let mut out = std::io::BufWriter::new(peer);
-    for line in std::io::BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if writeln!(out, "{}", handle_line(state, &line)).is_err() {
+    serve_lines(
+        state,
+        std::io::BufReader::new(stream),
+        std::io::BufWriter::new(peer),
+    );
+}
+
+/// Longest request line `serve` accepts; a longer one is skipped up to its
+/// newline without being stored and gets one error reply.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Answer request lines from `input` on `out`, one reply per non-blank
+/// line, until end of input or a broken connection.
+fn serve_lines(state: &ServeState, mut input: impl BufRead, mut out: impl Write) {
+    let mut buf = Vec::new();
+    loop {
+        let reply = match read_request_line(&mut input, &mut buf) {
+            Ok(Line::End) | Err(_) => break,
+            Ok(Line::TooLong) => error_line(&format!(
+                "bad request: line longer than {MAX_LINE_BYTES} bytes"
+            )),
+            Ok(Line::Read) => match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => handle_line(state, line),
+                Err(_) => error_line("bad request: line is not UTF-8"),
+            },
+        };
+        if writeln!(out, "{reply}").is_err() {
             break;
         }
         let _ = out.flush();
     }
+}
+
+/// What [`read_request_line`] found.
+enum Line {
+    /// A line (without its newline) is in the buffer.
+    Read,
+    /// The line exceeded [`MAX_LINE_BYTES`] and was skipped.
+    TooLong,
+    /// End of input.
+    End,
+}
+
+/// Read the next line into `buf` (cleared first), storing at most
+/// [`MAX_LINE_BYTES`] of it.  As with [`BufRead::lines`], the `\n` or
+/// `\r\n` ending is stripped and an unterminated last line counts as a
+/// line.
+fn read_request_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Line> {
+    buf.clear();
+    let mut read_any = false;
+    let mut too_long = false;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        if !too_long && buf.len() + part.len() > MAX_LINE_BYTES {
+            too_long = true;
+            buf.clear();
+        }
+        if !too_long {
+            buf.extend_from_slice(part);
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        input.consume(used);
+        if newline.is_some() {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            break;
+        }
+    }
+    Ok(match (too_long, read_any) {
+        (true, _) => Line::TooLong,
+        (false, true) => Line::Read,
+        (false, false) => Line::End,
+    })
 }
 
 #[derive(Serialize)]

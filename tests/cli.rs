@@ -195,6 +195,89 @@ fn serve_over_tcp_survives_a_deeply_nested_line() {
     );
 }
 
+/// One request line of 2 MiB, twice the longest line `serve` accepts.
+fn overlong_line() -> String {
+    format!(r#"{{"cmd":"{}"}}"#, "a".repeat(2 << 20))
+}
+
+fn assert_overlong_rejected(reply: &str) {
+    assert!(
+        reply.contains(r#""ok":false"#) && reply.contains("line longer than"),
+        "over-long line must get one error reply: {reply}"
+    );
+}
+
+#[test]
+fn serve_on_stdin_rejects_an_overlong_line_and_keeps_answering() {
+    let mut child = KillOnDrop(
+        Command::new(BIN)
+            .args(["serve", "--workers", "1"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn ptsched serve"),
+    );
+    let mut stdin = child.0.stdin.take().expect("stdin pipe");
+    let stdout = BufReader::new(child.0.stdout.take().expect("stdout pipe"));
+    let writer = std::thread::spawn(move || {
+        writeln!(stdin, "{}", overlong_line()).expect("write long line");
+        writeln!(stdin, r#"{{"cmd":"stats"}}"#).expect("write request");
+        // The last line may end without a newline, as before.
+        write!(stdin, r#"{{"cmd":"stats"}}"#).expect("write request");
+    });
+    let lines: Vec<String> = stdout.lines().map(|l| l.expect("response line")).collect();
+    writer.join().expect("writer thread");
+    assert_eq!(lines.len(), 3, "one reply per line: {lines:?}");
+    assert_overlong_rejected(&lines[0]);
+    assert!(lines[1].contains(r#""ok":true"#), "stats: {}", lines[1]);
+    assert!(lines[2].contains(r#""ok":true"#), "stats: {}", lines[2]);
+    let status = child.0.wait().expect("serve exits");
+    assert!(
+        status.success(),
+        "serve should exit 0 on EOF, got {status:?}"
+    );
+}
+
+#[test]
+fn serve_over_tcp_rejects_an_overlong_line_and_keeps_answering() {
+    let mut child = KillOnDrop(
+        Command::new(BIN)
+            .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn ptsched serve --listen"),
+    );
+    let mut banner = String::new();
+    BufReader::new(child.0.stdout.take().expect("stdout pipe"))
+        .read_line(&mut banner)
+        .expect("read listen banner");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"));
+    let stream = std::net::TcpStream::connect(addr).expect("connect to ptsched serve");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("set read timeout");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone stream")).lines();
+    writeln!(&stream, "{}", overlong_line()).expect("send long line");
+    writeln!(&stream, r#"{{"cmd":"stats"}}"#).expect("send request");
+    let mut next = || replies.next().expect("a reply").expect("read reply");
+    assert_overlong_rejected(&next());
+    let reply = next();
+    assert!(
+        reply.contains(r#""ok":true"#),
+        "stats after the long line: {reply}"
+    );
+    assert!(
+        child.0.try_wait().expect("poll serve").is_none(),
+        "serve must still be running"
+    );
+}
+
 #[test]
 fn serve_submit_and_tenant_run_a_job_stream() {
     let mut child = Command::new(BIN)
